@@ -9,22 +9,31 @@
 //! beat the stage parent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ehw_oracle::{cascade_spec, evolve_cascade_naive};
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{evolve_cascade, CascadeConfig, CascadeEngine};
+use ehw_platform::evo_modes::CascadeConfig;
+use ehw_platform::jobs;
 use ehw_platform::modes::{CascadeFitness, CascadeSchedule};
 use ehw_platform::platform::EhwPlatform;
 use std::hint::black_box;
 
-fn run(engine: CascadeEngine, fitness: CascadeFitness, schedule: CascadeSchedule) -> u64 {
+/// One full three-stage cascade run: the naive oracle, or the compiled
+/// engine through the job path.
+fn run(naive: bool, fitness: CascadeFitness, schedule: CascadeSchedule) -> u64 {
     let task = ehw_bench::denoise_task(48, 0.4, 11);
     let config = CascadeConfig {
-        engine,
         fitness,
         schedule,
         ..CascadeConfig::paper(5, 2, 77)
     };
     let mut platform = EhwPlatform::with_parallel(3, ParallelConfig::serial());
-    let result = evolve_cascade(&mut platform, &task, &config);
+    let result = if naive {
+        evolve_cascade_naive(&mut platform, &task, &config)
+    } else {
+        let spec = cascade_spec(&task, 3, &config);
+        let job = jobs::execute(&mut platform, &spec, config.seed);
+        job.as_cascade().expect("cascade job").clone()
+    };
     result.final_fitness().expect("three stages")
 }
 
@@ -45,15 +54,15 @@ fn bench_cascade_evolution(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("cascade_evolution/{name}"));
         // Byte-identity gate: a speedup only counts if the engines agree.
         assert_eq!(
-            run(CascadeEngine::Naive, fitness, schedule),
-            run(CascadeEngine::Compiled, fitness, schedule),
+            run(true, fitness, schedule),
+            run(false, fitness, schedule),
             "{name}: engine diverged from the oracle"
         );
         group.bench_function("naive", |b| {
-            b.iter(|| black_box(run(CascadeEngine::Naive, fitness, schedule)))
+            b.iter(|| black_box(run(true, fitness, schedule)))
         });
         group.bench_function("compiled", |b| {
-            b.iter(|| black_box(run(CascadeEngine::Compiled, fitness, schedule)))
+            b.iter(|| black_box(run(false, fitness, schedule)))
         });
         group.finish();
     }

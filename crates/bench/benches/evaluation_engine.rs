@@ -8,11 +8,12 @@
 //! re-extracts clamped windows and resolves genotype/fault state per pixel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ehw_array::compiled::{interpret_filter_image, CompiledArray};
+use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
 use ehw_evolution::fitness::{plan_mae, plan_mae_bounded, FitnessEvaluator, SoftwareEvaluator};
 use ehw_image::metrics::mae;
 use ehw_image::window::SharedWindows;
+use ehw_oracle::interpret_filter_image;
 use ehw_parallel::ParallelConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

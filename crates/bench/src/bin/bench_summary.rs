@@ -12,8 +12,8 @@
 //! * **evolution** — a real (1+λ) run with the engine's early-exit bound and
 //!   per-generation memo, at 1 and 4 workers, reporting the early-exit rate,
 //! * **cascade** — a three-stage cascaded evolution (the Fig. 16 workload)
-//!   run through the naive oracle and the compiled cascade engine, single
-//!   worker, with a byte-identity gate between the two,
+//!   run through the naive oracle of `ehw-oracle` and the compiled cascade
+//!   engine, single worker, with a byte-identity gate between the two,
 //! * **plan_compile** — ns/candidate of a fresh plan compile vs patching the
 //!   parent's plan with the gene diff (the software mirror of partial
 //!   reconfiguration),
@@ -38,18 +38,18 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ehw_array::compiled::{interpret_filter_image, CompiledArray};
+use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
 use ehw_evolution::fitness::{plan_mae, FitnessEvaluator, SoftwareEvaluator};
 use ehw_evolution::strategy::{run_evolution, EsConfig, EvalEngine, NullObserver};
 use ehw_image::filters::ReferenceFilter;
 use ehw_image::metrics::mae;
 use ehw_image::window::{map_windows, SharedWindows, Window3x3, WindowPlanes};
+use ehw_oracle::{cascade_spec, evolve_cascade_naive, interpret_filter_image};
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{evolve_cascade, CascadeConfig, CascadeEngine};
-use ehw_platform::fault_campaign::{
-    scenario_fault_campaign_with, systematic_fault_campaign_with, CampaignReport,
-};
+use ehw_platform::evo_modes::CascadeConfig;
+use ehw_platform::fault_campaign::CampaignReport;
+use ehw_platform::jobs;
 use ehw_platform::platform::EhwPlatform;
 use ehw_platform::scenario::ScenarioRegistry;
 use ehw_platform::self_healing::RecoveryPolicy;
@@ -320,24 +320,26 @@ fn main() {
     let cascade_reps = ehw_bench::arg_usize("cascade-reps", 3).max(1);
     let cascade_task = ehw_bench::denoise_task(cascade_size, 0.4, 9);
     let cascade_config = CascadeConfig::paper(cascade_generations, 2, 4242);
-    let run_cascade = |engine: CascadeEngine| {
-        let config = CascadeConfig {
-            engine,
-            ..cascade_config
-        };
+    let cascade_job = cascade_spec(&cascade_task, 3, &cascade_config);
+    let run_cascade = |naive: bool| {
         let mut best_s = f64::INFINITY;
         let mut result = None;
         for _ in 0..cascade_reps {
             let mut platform = EhwPlatform::with_parallel(3, ParallelConfig::serial());
             let start = Instant::now();
-            let r = evolve_cascade(&mut platform, &cascade_task, &config);
+            let r = if naive {
+                evolve_cascade_naive(&mut platform, &cascade_task, &cascade_config)
+            } else {
+                let job = jobs::execute(&mut platform, &cascade_job, cascade_config.seed);
+                job.as_cascade().expect("cascade job").clone()
+            };
             best_s = best_s.min(start.elapsed().as_secs_f64().max(1e-9));
             result = Some(r);
         }
         (best_s, result.expect("at least one cascade rep"))
     };
-    let (naive_s, naive_result) = run_cascade(CascadeEngine::Naive);
-    let (compiled_s, compiled_result) = run_cascade(CascadeEngine::Compiled);
+    let (naive_s, naive_result) = run_cascade(true);
+    let (compiled_s, compiled_result) = run_cascade(false);
     // Byte-identity gate: the engines must agree exactly before the speedup
     // means anything.
     assert_eq!(
@@ -557,43 +559,43 @@ fn main() {
         Genotype::random(&mut rng)
     };
     let campaign_recovery = EsConfig::paper(1, 1, 2, 77);
-    let time_campaign = |run: &mut dyn FnMut() -> CampaignReport| -> (f64, CampaignReport) {
+    let campaign = JobSpec::fault_campaign(
+        resilience_task.input.clone(),
+        resilience_task.reference.clone(),
+    )
+    .baseline(campaign_baseline)
+    .arrays(vec![0, 1])
+    .recovery_config(campaign_recovery);
+    let time_campaign = |spec: JobSpec| -> (f64, CampaignReport) {
+        let run = || {
+            let mut platform = EhwPlatform::with_parallel(2, ParallelConfig::serial());
+            let job = jobs::execute(&mut platform, &spec, campaign_recovery.seed);
+            job.as_campaign().expect("campaign job").clone()
+        };
         let _ = run(); // warm-up
         let start = Instant::now();
         let report = run();
         let elapsed = start.elapsed().as_secs_f64().max(1e-9);
         (report.total_evaluations() as f64 / elapsed, report)
     };
-    let (legacy_campaign_eps, legacy_report) = time_campaign(&mut || {
-        let mut platform = EhwPlatform::new(2);
-        systematic_fault_campaign_with(
-            &mut platform,
-            &campaign_baseline,
-            &resilience_task,
-            &campaign_recovery,
-            &[0, 1],
-            ParallelConfig::serial(),
-        )
-    });
+    // The `legacy` figures time the default campaign spec — the paper's
+    // systematic sweep; the scenario figures time the same sweep resolved by
+    // name from the registry with an explicit ladder.
+    let (legacy_campaign_eps, legacy_report) =
+        time_campaign(campaign.clone().build().expect("valid campaign spec"));
     let single_sweep = registry.scenario("single_sweep").expect("builtin").clone();
-    let (scenario_campaign_eps, scenario_report) = time_campaign(&mut || {
-        let mut platform = EhwPlatform::new(2);
-        scenario_fault_campaign_with(
-            &mut platform,
-            &campaign_baseline,
-            &resilience_task,
-            &campaign_recovery,
-            &[0, 1],
-            &single_sweep,
-            &RecoveryPolicy::default_ladder(),
-            ParallelConfig::serial(),
-        )
-    });
-    // Byte-identity gate: the scenario layer must reproduce the historical
-    // campaign exactly before its overhead number means anything.
+    let (scenario_campaign_eps, scenario_report) = time_campaign(
+        campaign
+            .scenario(single_sweep)
+            .policy(RecoveryPolicy::default_ladder())
+            .build()
+            .expect("valid campaign spec"),
+    );
+    // Byte-identity gate: the registry-resolved scenario must reproduce the
+    // systematic sweep exactly before its overhead number means anything.
     assert_eq!(
         legacy_report, scenario_report,
-        "scenario campaign diverged from the legacy sweep"
+        "scenario campaign diverged from the systematic sweep"
     );
     let scenario_vs_legacy = scenario_campaign_eps / legacy_campaign_eps.max(1e-9);
 

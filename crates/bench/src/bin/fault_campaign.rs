@@ -9,8 +9,8 @@
 //!
 //! Both phases run as typed jobs through the [`ehw_service`] front-end: an
 //! evolution job produces the working filter, a fault-campaign job sweeps the
-//! PE positions.  Seeds are pinned, so the report is byte-identical to the
-//! legacy path at any `--platforms=` / `--workers=` setting.
+//! PE positions.  Seeds are pinned, so the report is byte-identical at any
+//! `--platforms=` / `--workers=` setting.
 //!
 //! ```text
 //! cargo run --release -p ehw-bench --bin fault_campaign -- [--generations=150] [--recovery=120] [--size=48]

@@ -10,8 +10,8 @@
 //!
 //! The whole sweep is submitted as one batch of typed jobs to the
 //! [`ehw_service`] front-end (`--platforms=` / `--queue-depth=` size the
-//! pool); seeds are pinned per run, so the figures are byte-identical to the
-//! legacy single-platform path at any pool size.
+//! pool); seeds are pinned per run, so the figures are byte-identical at any
+//! pool size.
 //!
 //! ```text
 //! cargo run --release -p ehw-bench --bin fig12_speedup -- [--runs=3] [--generations=200] [--size=128]

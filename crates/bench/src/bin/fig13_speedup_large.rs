@@ -11,8 +11,7 @@
 
 use ehw_bench::{banner, denoise_task, fmt_time, print_table, ExperimentArgs};
 use ehw_evolution::stats::Summary;
-use ehw_evolution::strategy::EsConfig;
-use ehw_platform::evo_modes::evolve_parallel;
+use ehw_platform::jobs::{self, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 
 fn main() {
@@ -34,9 +33,15 @@ fn main() {
             let mut per_gen = Vec::new();
             for run in 0..runs {
                 let task = denoise_task(size, 0.4, 2000 + run as u64);
+                let spec = JobSpec::evolution(task.input, task.reference)
+                    .mutation_rate(k)
+                    .num_arrays(arrays)
+                    .generations(generations)
+                    .build()
+                    .expect("valid evolution spec");
                 let mut platform = EhwPlatform::with_parallel(arrays, parallel);
-                let config = EsConfig::paper(k, arrays, generations, 7 + run as u64);
-                let (_, time) = evolve_parallel(&mut platform, &task, &config);
+                let job = jobs::execute(&mut platform, &spec, 7 + run as u64);
+                let (_, time) = job.as_evolution().expect("evolution job");
                 per_gen.push(time.per_generation_s());
             }
             means.push(Summary::of(&per_gen).mean);

@@ -4,10 +4,10 @@
 //!
 //! The adapted cascades are submitted as one batch of typed jobs to the
 //! [`ehw_service`] front-end (`--platforms=` / `--queue-depth=` size the
-//! pool); seeds are pinned per run, so the figure is byte-identical to the
-//! legacy single-platform path at any pool size.  The same-filter baseline
-//! stays on the legacy `evolve_same_filter_cascade` entry point — it is not a
-//! cascade job, it is the paper's non-adaptive control.
+//! pool); seeds are pinned per run, so the figure is byte-identical at any
+//! pool size.  The same-filter baseline calls `evolve_same_filter_cascade`
+//! directly — it is not a cascade job, it is the paper's non-adaptive
+//! control.
 //!
 //! ```text
 //! cargo run --release -p ehw-bench --bin fig16_cascade_avg -- [--runs=3] [--generations=300]
@@ -25,8 +25,7 @@ fn per_stage(results: &[JobResult]) -> Vec<Vec<u64>> {
     let mut columns: Vec<Vec<u64>> = vec![Vec::new(); 3];
     for result in results {
         // A failed job has an empty history; averaging over the survivors
-        // would silently skew the figure, so fail loudly like the legacy
-        // path did.
+        // would silently skew the figure, so fail loudly instead.
         assert!(!result.is_failed(), "cascade job {} failed", result.job_id);
         for (stage, fitness) in result.history().iter().enumerate() {
             columns[stage].push(*fitness);
@@ -47,12 +46,9 @@ fn main() {
         "(every evolved circuit gets {} generations, matching the same-filter baseline)",
         args.generations
     );
-    println!(
-        "cascade engine: {:?} (pass --naive for the oracle baseline)\n",
-        args.engine
-    );
+    println!();
 
-    // Same-filter baseline (legacy path).
+    // Same-filter baseline (not a cascade job: the non-adaptive control).
     let mut same: Vec<Vec<u64>> = vec![Vec::new(); 3];
     for run in 0..args.runs {
         let task = denoise_task(args.size, 0.4, 5000 + run as u64);

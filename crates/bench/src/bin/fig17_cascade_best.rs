@@ -3,8 +3,7 @@
 //!
 //! Like Fig. 16, the adapted cascades run as a batch of typed jobs through
 //! the [`ehw_service`] front-end with pinned per-run seeds, so the figure is
-//! byte-identical to the legacy path at any `--platforms=` / `--workers=`
-//! setting.
+//! byte-identical at any `--platforms=` / `--workers=` setting.
 //!
 //! ```text
 //! cargo run --release -p ehw-bench --bin fig17_cascade_best -- [--runs=3] [--generations=300]
@@ -45,12 +44,9 @@ fn main() {
         args.runs,
         args.generations,
     );
-    println!(
-        "cascade engine: {:?} (pass --naive for the oracle baseline)\n",
-        args.engine
-    );
+    println!();
 
-    // Same-filter baseline (legacy path).
+    // Same-filter baseline (not a cascade job: the non-adaptive control).
     let mut same_runs = Vec::new();
     for run in 0..args.runs {
         let task = denoise_task(args.size, 0.4, 6000 + run as u64);

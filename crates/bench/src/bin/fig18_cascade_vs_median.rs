@@ -14,13 +14,12 @@ use ehw_bench::{banner, denoise_task, print_table, ExperimentArgs};
 use ehw_image::filters;
 use ehw_image::metrics::{mae, psnr};
 use ehw_image::pgm;
-use ehw_platform::evo_modes::{evolve_cascade, CascadeConfig};
+use ehw_platform::jobs::{self, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 
 fn main() {
     let args = ExperimentArgs::parse(1, 1500, 128);
-    let (parallel, engine, generations, size) =
-        (args.parallel, args.engine, args.generations, args.size);
+    let (parallel, generations, size) = (args.parallel, args.generations, args.size);
     banner(
         "Fig. 18",
         "3-stage adapted cascade vs median filter, 40% salt & pepper",
@@ -36,14 +35,17 @@ fn main() {
     let median3 = filters::cascade(&task.input, filters::ReferenceFilter::Median, 3);
 
     // Evolved cascade.
+    let spec = JobSpec::cascade(task.input.clone(), task.reference.clone())
+        .stages(3)
+        .generations(generations / 3)
+        .mutation_rate(2)
+        .build()
+        .expect("valid cascade spec");
     let mut platform = EhwPlatform::with_parallel(3, parallel);
-    let config = CascadeConfig {
-        engine,
-        ..CascadeConfig::paper(generations / 3, 2, 4242)
-    };
-    let result = evolve_cascade(&mut platform, &task, &config);
+    let job = jobs::execute(&mut platform, &spec, 4242);
+    let result = job.as_cascade().expect("cascade job");
     println!(
-        "cascade engine: {engine:?} — {} evaluations, early-exit rate {:.1}%, {} memo hits",
+        "cascade engine: Compiled — {} evaluations, early-exit rate {:.1}%, {} memo hits",
         result.evaluations,
         result.stats.early_exit_rate() * 100.0,
         result.stats.memo_hits

@@ -11,7 +11,7 @@ use ehw_image::image::GrayImage;
 use ehw_image::noise::NoiseModel;
 use ehw_image::synth;
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{CascadeEngine, EvolutionTask};
+use ehw_platform::evo_modes::EvolutionTask;
 use ehw_platform::platform::EhwPlatform;
 use ehw_service::{EhwService, ServiceConfig};
 use rand::rngs::StdRng;
@@ -34,12 +34,6 @@ pub fn arg_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// `true` if `--name` was passed as a bare flag.
-pub fn arg_flag(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
-}
-
 /// The host-parallelism knob shared by every experiment binary: `--workers=`
 /// from the command line, falling back to `EHW_WORKERS` / the host's
 /// available parallelism.  Worker count is scheduling only — every figure is
@@ -52,24 +46,12 @@ pub fn arg_parallel() -> ParallelConfig {
     cfg
 }
 
-/// The cascade-evaluation engine knob shared by the cascade figure binaries:
-/// `--naive` selects the oracle path (per-candidate chain refiltering), the
-/// default is the compiled engine.  Results are byte-identical either way;
-/// only wall-clock time changes.
-pub fn arg_cascade_engine() -> CascadeEngine {
-    if arg_flag("naive") {
-        CascadeEngine::Naive
-    } else {
-        CascadeEngine::Compiled
-    }
-}
-
 /// The one shared argument bundle of the experiment binaries.
 ///
 /// Every figure binary used to copy-paste the same handful of
-/// `arg_usize`/`arg_parallel`/`arg_cascade_engine` lines; this struct parses
-/// them once — `--runs=`, `--generations=`, `--size=`, `--workers=`,
-/// `--naive`, `--platforms=`, `--queue-depth=` — and routes the
+/// `arg_usize`/`arg_parallel` lines; this struct parses them once —
+/// `--runs=`, `--generations=`, `--size=`, `--workers=`, `--platforms=`,
+/// `--queue-depth=` — and routes the
 /// parallelism/pool knobs into a [`ServiceConfig`], so the binaries exercise
 /// the same serving path production traffic takes.  Binary-specific flags
 /// stay next to the binary.
@@ -83,8 +65,6 @@ pub struct ExperimentArgs {
     pub size: usize,
     /// `--workers=` / `EHW_WORKERS`, plus `EHW_CHUNK`.
     pub parallel: ParallelConfig,
-    /// `--naive` flag → the oracle cascade engine.
-    pub engine: CascadeEngine,
     /// `--platforms=` (service pool shards; default 1).
     pub platforms: usize,
     /// `--queue-depth=` (service backpressure depth; default 2 × platforms).
@@ -101,7 +81,6 @@ impl ExperimentArgs {
             generations: arg_usize("generations", default_generations),
             size: arg_usize("size", default_size),
             parallel: arg_parallel(),
-            engine: arg_cascade_engine(),
             platforms,
             queue_depth: arg_usize("queue-depth", platforms * 2).max(1),
         }
@@ -125,18 +104,18 @@ impl ExperimentArgs {
     }
 
     /// A platform honouring the shared `--workers=` knob, for binaries that
-    /// drive the legacy entry points directly.
+    /// drive a platform of their own.
     pub fn platform(&self, arrays: usize) -> EhwPlatform {
         EhwPlatform::with_parallel(arrays, self.parallel)
     }
 }
 
 /// The Fig. 16/17 adapted-cascade sweep as one service batch: for each of
-/// the two schedules, `args.runs` three-stage cascade jobs (λ = 9, k = 2,
-/// the configured engine) with pinned seeds `schedule_seed_base + run` over
-/// the tasks `denoise_task(args.size, 0.4, task_seed_base + run)`.  Returns
-/// the specs in `[sequential runs…, interleaved runs…]` order, so both
-/// figure binaries stay in lockstep by construction.
+/// the two schedules, `args.runs` three-stage cascade jobs (λ = 9, k = 2)
+/// with pinned seeds `schedule_seed_base + run` over the tasks
+/// `denoise_task(args.size, 0.4, task_seed_base + run)`.  Returns the specs
+/// in `[sequential runs…, interleaved runs…]` order, so both figure
+/// binaries stay in lockstep by construction.
 pub fn cascade_sweep_specs(
     args: &ExperimentArgs,
     task_seed_base: u64,
@@ -157,7 +136,6 @@ pub fn cascade_sweep_specs(
                     .generations(args.generations)
                     .mutation_rate(2)
                     .schedule(schedule)
-                    .engine(args.engine)
                     .seed(seed_base + run as u64)
                     .build()
                     .expect("valid cascade spec"),
@@ -266,8 +244,6 @@ mod tests {
     fn arg_parsers_fall_back_to_defaults() {
         assert_eq!(arg_usize("definitely-not-passed", 7), 7);
         assert_eq!(arg_f64("definitely-not-passed", 0.5), 0.5);
-        assert!(!arg_flag("definitely-not-passed"));
-        assert_eq!(arg_cascade_engine(), CascadeEngine::Compiled);
     }
 
     #[test]
@@ -278,7 +254,6 @@ mod tests {
         assert_eq!(args.size, 64);
         assert_eq!(args.platforms, 1);
         assert_eq!(args.queue_depth, 2);
-        assert_eq!(args.engine, CascadeEngine::Compiled);
         let cfg = args.service_config(9);
         assert_eq!(cfg.platforms, 1);
         assert_eq!(cfg.workers_per_platform, args.parallel.workers);

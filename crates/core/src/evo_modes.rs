@@ -8,20 +8,23 @@
 //! * [`evolve_independent`] — each array is evolved sequentially with its own
 //!   training pair (independent processing, independent cascade, or to
 //!   prepare a redundant parallel configuration),
-//! * [`evolve_parallel`] — the offspring of each generation are distributed
-//!   over the arrays and evaluated simultaneously; evolution time follows the
-//!   pipeline of Fig. 11,
-//! * [`evolve_cascade`] — cascaded evolution with separate or merged fitness,
-//!   sequential or interleaved scheduling (Figs. 6, 16, 17),
+//! * [`PlatformEvaluator`] — the offspring of each generation are
+//!   distributed over the arrays and evaluated simultaneously (parallel
+//!   evolution; evolution time follows the pipeline of Fig. 11),
+//! * the compiled cascade engine — cascaded evolution with separate or
+//!   merged fitness, sequential or interleaved scheduling (Figs. 6, 16, 17),
 //! * [`evolve_same_filter_cascade`] — the "same filter in every stage"
 //!   baseline of Figs. 16–17,
 //! * [`evolve_imitation`] — evolution by imitation (Fig. 7): a bypassed array
 //!   learns to reproduce a neighbour's output without any reference image.
+//!
+//! Parallel and cascaded evolution run as jobs: build a
+//! [`JobSpec`](crate::jobs::JobSpec) and hand it to
+//! [`jobs::execute`](crate::jobs::execute) or the `ehw-service` front-end.
 
 use ehw_parallel::ParallelConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use ehw_array::array::ProcessingArray;
 use ehw_array::genotype::Genotype;
@@ -31,7 +34,6 @@ use ehw_evolution::strategy::{
     NullObserver,
 };
 use ehw_image::image::GrayImage;
-use ehw_image::metrics::mae;
 
 use crate::modes::{CascadeFitness, CascadeSchedule};
 use crate::platform::EhwPlatform;
@@ -294,7 +296,7 @@ impl FitnessEvaluator for PlatformEvaluator {
 }
 
 // ---------------------------------------------------------------------------
-// Independent and parallel evolution
+// Independent evolution
 // ---------------------------------------------------------------------------
 
 /// Evolves every array sequentially, each with its own training pair
@@ -346,37 +348,12 @@ pub fn evolve_independent(
     (results, total)
 }
 
-/// Evolves a single task distributing each generation's offspring over all
-/// arrays (parallel evolution, §IV.B, Fig. 5-b).  The evolved circuit is
-/// configured into **every** array, ready for parallel/TMR operation; callers
-/// that want per-array diversity should use [`evolve_independent`].
-///
-/// Thin shim over the job path: builds a [`crate::jobs::JobSpec`] from the
-/// config and runs it through [`crate::jobs::execute`] on this platform.
-/// `num_arrays` and host parallelism follow the platform the evolution
-/// actually runs on, as they always have.  New code should submit the spec to
-/// the `ehw-service` front-end instead.
-pub fn evolve_parallel(
-    platform: &mut EhwPlatform,
-    task: &EvolutionTask,
-    config: &EsConfig,
-) -> (EvolutionResult, EvolutionTimeEstimate) {
-    let mut cfg = *config;
-    cfg.num_arrays = platform.num_arrays();
-    let spec = crate::jobs::evolution_spec_from_config(task.clone(), &cfg);
-    let job = crate::jobs::execute(platform, &spec, config.seed);
-    match job.output {
-        crate::jobs::JobOutput::Evolution { result, time } => (result, time),
-        _ => unreachable!("an evolution spec produces an evolution output"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Cascaded evolution
 // ---------------------------------------------------------------------------
 
 /// How the per-stage parents of a cascaded evolution are initialised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CascadeInit {
     /// Every stage starts from the identity (pass-through) circuit, so the
     /// chain output starts equal to the previous stage and can only improve
@@ -388,25 +365,8 @@ pub enum CascadeInit {
     Random,
 }
 
-/// Which execution engine scores the candidates of a cascaded evolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CascadeEngine {
-    /// The pre-engine behaviour: every candidate clones interpreter arrays
-    /// and re-filters the full chain from the source image.  Kept verbatim as
-    /// the equivalence oracle and the bench baseline, exactly like the
-    /// reference interpreter of the single-array engine.
-    Naive,
-    /// Compiled plans patched from the stage parent's plan + per-generation
-    /// shared stage windows (SoA planes) + early-exit bounds +
-    /// upstream-prefix caching + generation-level downstream-suffix sharing
-    /// for merged fitness (the default).  Byte-identical results to
-    /// [`Naive`](Self::Naive) — enforced by
-    /// `tests/property_cascade_equivalence.rs`.
-    Compiled,
-}
-
 /// Configuration of a cascaded evolution run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeConfig {
     /// Generations spent on each stage (sequential) or rounds of one
     /// generation per stage (interleaved).
@@ -421,9 +381,6 @@ pub struct CascadeConfig {
     pub schedule: CascadeSchedule,
     /// Parent initialisation of each stage.
     pub init: CascadeInit,
-    /// Candidate-evaluation engine; results are byte-identical in either
-    /// mode.
-    pub engine: CascadeEngine,
     /// RNG seed.
     pub seed: u64,
 }
@@ -431,7 +388,7 @@ pub struct CascadeConfig {
 impl CascadeConfig {
     /// A reasonable default mirroring the paper's EA parameters (nine
     /// offspring, separate fitness, sequential stages, pass-through
-    /// initialisation, compiled engine).
+    /// initialisation).
     pub fn paper(generations: usize, mutation_rate: usize, seed: u64) -> Self {
         Self {
             generations,
@@ -440,7 +397,6 @@ impl CascadeConfig {
             fitness: CascadeFitness::Separate,
             schedule: CascadeSchedule::Sequential,
             init: CascadeInit::Identity,
-            engine: CascadeEngine::Compiled,
             seed,
         }
     }
@@ -454,11 +410,10 @@ pub struct CascadeResult {
     /// MAE of the chain output after each stage against the reference (the
     /// per-stage values plotted in Figs. 16–17).
     pub stage_fitness: Vec<u64>,
-    /// Candidate evaluations performed (parent re-evaluations + offspring);
-    /// identical between the two engines.
+    /// Candidate evaluations performed (parent re-evaluations + offspring),
+    /// counted as if no candidate were cached or cut short.
     pub evaluations: u64,
-    /// Work-saved counters of the compiled engine (all zero for the naive
-    /// oracle, which takes no shortcuts).
+    /// Work-saved counters of the cascade engine.
     pub stats: ehw_evolution::fitness::EngineStats,
 }
 
@@ -478,66 +433,6 @@ impl CascadeResult {
 /// least one array).  Delegates to the platform's compiled streaming path.
 pub fn chain_fitness(platform: &EhwPlatform, input: &GrayImage, reference: &GrayImage) -> Vec<u64> {
     platform.chain_fitness(input, reference)
-}
-
-fn filter_chain(
-    arrays: &[ProcessingArray],
-    genotypes: &[Genotype],
-    upto: usize,
-    input: &GrayImage,
-) -> GrayImage {
-    let mut stream = input.clone();
-    for s in 0..upto {
-        let mut array = arrays[s].clone();
-        array.set_genotype(genotypes[s].clone());
-        stream = array.filter_image(&stream);
-    }
-    stream
-}
-
-/// Cascaded evolution (§IV.B, Fig. 6): evolves one circuit per stage so the
-/// chain progressively approaches the reference.  Honours the configured
-/// fitness arrangement, schedule and engine, and configures the evolved
-/// circuits into the platform before returning.
-///
-/// The two engines are byte-identical in everything observable
-/// (`stage_genotypes`, `stage_fitness`, `evaluations`), at any worker count;
-/// they differ only in the work performed.  See [`CascadeEngine`].
-///
-/// Thin shim over the job path: builds a [`crate::jobs::JobSpec`] with one
-/// stage per platform array and runs it through [`crate::jobs::execute`].
-/// New code should submit the spec to the `ehw-service` front-end instead.
-pub fn evolve_cascade(
-    platform: &mut EhwPlatform,
-    task: &EvolutionTask,
-    config: &CascadeConfig,
-) -> CascadeResult {
-    let spec = crate::jobs::cascade_spec_from_config(task.clone(), platform.num_arrays(), config);
-    let job = crate::jobs::execute(platform, &spec, config.seed);
-    match job.output {
-        crate::jobs::JobOutput::Cascade(result) => result,
-        _ => unreachable!("a cascade spec produces a cascade output"),
-    }
-}
-
-/// Engine dispatch behind the job path (and therefore behind
-/// [`evolve_cascade`]).
-///
-/// `on_step` is invoked after every scheduler step (one stage-generation)
-/// with a running step index; returning `false` stops the cascade at that
-/// boundary — the job layer's cancellation/deadline/progress seam.  Both
-/// engines call it at identical points, so a cancelled run stops after the
-/// same amount of work either way.
-pub(crate) fn evolve_cascade_with_engine(
-    platform: &mut EhwPlatform,
-    task: &EvolutionTask,
-    config: &CascadeConfig,
-    on_step: &mut dyn FnMut(usize) -> bool,
-) -> CascadeResult {
-    match config.engine {
-        CascadeEngine::Naive => evolve_cascade_naive(platform, task, config, on_step),
-        CascadeEngine::Compiled => evolve_cascade_compiled(platform, task, config, on_step),
-    }
 }
 
 /// Drives the configured schedule: sequential scheduling exhausts each
@@ -579,87 +474,6 @@ fn initial_parents(stages: usize, init: CascadeInit, rng: &mut StdRng) -> Vec<Ge
             CascadeInit::Random => Genotype::random(rng),
         })
         .collect()
-}
-
-/// The naive oracle: per-candidate interpreter-style chain refiltering.
-fn evolve_cascade_naive(
-    platform: &mut EhwPlatform,
-    task: &EvolutionTask,
-    config: &CascadeConfig,
-    on_step: &mut dyn FnMut(usize) -> bool,
-) -> CascadeResult {
-    let stages = platform.num_arrays();
-    let arrays: Vec<ProcessingArray> = platform
-        .acbs()
-        .iter()
-        .map(|acb| acb.array().clone())
-        .collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    // Current parent (and its fitness) per stage.
-    let mut parents: Vec<Genotype> = initial_parents(stages, config.init, &mut rng);
-    let mut parent_fitness: Vec<u64> = vec![u64::MAX; stages];
-    let evaluations = std::cell::Cell::new(0u64);
-
-    // Evaluates the candidate for `stage`, honouring the fitness arrangement:
-    // separate fitness scores the stage's own output; merged fitness scores
-    // the output at the end of the chain (later stages use their current
-    // parents).
-    let evaluate = |stage: usize, candidate: &Genotype, parents: &[Genotype]| -> u64 {
-        evaluations.set(evaluations.get() + 1);
-        let stage_input = filter_chain(&arrays, parents, stage, &task.input);
-        let mut array = arrays[stage].clone();
-        array.set_genotype(candidate.clone());
-        let stage_output = array.filter_image(&stage_input);
-        match config.fitness {
-            CascadeFitness::Separate => mae(&stage_output, &task.reference),
-            CascadeFitness::Merged => {
-                let mut stream = stage_output;
-                for s in stage + 1..stages {
-                    let mut downstream = arrays[s].clone();
-                    downstream.set_genotype(parents[s].clone());
-                    stream = downstream.filter_image(&stream);
-                }
-                mae(&stream, &task.reference)
-            }
-        }
-    };
-
-    let mut step_index = 0usize;
-    drive_schedule(config.schedule, stages, config.generations, |stage| {
-        // Re-evaluate the parent: in interleaved scheduling the upstream
-        // stages may have changed since this stage was last visited, which
-        // changes the input (and therefore the fitness) of its parent.
-        parent_fitness[stage] = evaluate(stage, &parents[stage], &parents);
-        let mut best_child: Option<(Genotype, u64)> = None;
-        for _ in 0..config.offspring {
-            let child = parents[stage].mutated(config.mutation_rate, &mut rng);
-            let fitness = evaluate(stage, &child, &parents);
-            if best_child.as_ref().is_none_or(|(_, f)| fitness < *f) {
-                best_child = Some((child, fitness));
-            }
-        }
-        if let Some((child, fitness)) = best_child {
-            if fitness <= parent_fitness[stage] {
-                parents[stage] = child;
-                parent_fitness[stage] = fitness;
-            }
-        }
-        let go = on_step(step_index);
-        step_index += 1;
-        go
-    });
-
-    for (stage, genotype) in parents.iter().enumerate() {
-        platform.configure_array(stage, genotype);
-    }
-    let stage_fitness = chain_fitness(platform, &task.input, &task.reference);
-    CascadeResult {
-        stage_genotypes: parents,
-        stage_fitness,
-        evaluations: evaluations.get(),
-        stats: ehw_evolution::fitness::EngineStats::default(),
-    }
 }
 
 /// Mutable state of the compiled cascade engine.
@@ -1004,8 +818,18 @@ impl CascadeState<'_> {
     }
 }
 
-/// The compiled engine behind [`evolve_cascade`].
-fn evolve_cascade_compiled(
+/// Cascaded evolution (§IV.B, Fig. 6) — the engine behind
+/// [`JobSpec::Cascade`](crate::jobs::JobSpec::Cascade): evolves one circuit
+/// per platform array so the chain progressively approaches the reference,
+/// honouring the configured fitness arrangement and schedule, and configures
+/// the evolved circuits into the platform before returning.  Results are
+/// byte-identical at any worker count and to the naive oracle of the
+/// `ehw-oracle` crate.
+///
+/// `on_step` is invoked after every scheduler step (one stage-generation)
+/// with a running step index; returning `false` stops the cascade at that
+/// boundary — the job layer's cancellation/deadline/progress seam.
+pub(crate) fn run_cascade(
     platform: &mut EhwPlatform,
     task: &EvolutionTask,
     config: &CascadeConfig,
@@ -1093,7 +917,7 @@ pub fn evolve_same_filter_cascade(
 // ---------------------------------------------------------------------------
 
 /// How the imitation run is seeded (§VI.D, Fig. 19).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImitationStart {
     /// Start from the master's genotype (the "inherited" strategy, which the
     /// paper shows performs markedly better).
@@ -1138,6 +962,7 @@ mod tests {
     use super::*;
     use ehw_fabric::fault::FaultKind;
     use ehw_image::filters;
+    use ehw_image::metrics::mae;
     use ehw_image::noise::salt_pepper;
     use ehw_image::synth;
 
@@ -1190,12 +1015,26 @@ mod tests {
         assert_eq!(eval.evaluations(), 4);
     }
 
+    /// Runs the cascade engine to completion.
+    fn cascade(
+        platform: &mut EhwPlatform,
+        task: &EvolutionTask,
+        config: &CascadeConfig,
+    ) -> CascadeResult {
+        run_cascade(platform, task, config, &mut |_| true)
+    }
+
     #[test]
     fn parallel_evolution_improves_and_configures_all_arrays() {
         let mut platform = EhwPlatform::paper_three_arrays();
         let task = denoise_task(24, 0.3, 3);
-        let config = EsConfig::paper(3, 3, 40, 7);
-        let (result, time) = evolve_parallel(&mut platform, &task, &config);
+        let spec = crate::jobs::JobSpec::evolution(task.input, task.reference)
+            .num_arrays(3)
+            .generations(40)
+            .build()
+            .unwrap();
+        let job = crate::jobs::execute(&mut platform, &spec, 7);
+        let (result, time) = job.as_evolution().expect("evolution job");
         assert!(result.best_fitness <= result.initial_fitness);
         assert!(time.total_s > 0.0);
         assert_eq!(time.generations, 40);
@@ -1232,7 +1071,7 @@ mod tests {
         let mut platform = EhwPlatform::paper_three_arrays();
         let task = denoise_task(24, 0.4, 9);
         let config = CascadeConfig::paper(30, 2, 13);
-        let result = evolve_cascade(&mut platform, &task, &config);
+        let result = cascade(&mut platform, &task, &config);
         assert_eq!(result.stage_fitness.len(), 3);
         assert_eq!(result.stage_genotypes.len(), 3);
         // With pass-through initialisation and elitist selection the chain can
@@ -1253,7 +1092,7 @@ mod tests {
     fn interleaved_and_sequential_cascades_both_converge() {
         let task = denoise_task(20, 0.3, 17);
         let mut seq_platform = EhwPlatform::paper_three_arrays();
-        let seq = evolve_cascade(
+        let seq = cascade(
             &mut seq_platform,
             &task,
             &CascadeConfig {
@@ -1262,7 +1101,7 @@ mod tests {
             },
         );
         let mut int_platform = EhwPlatform::paper_three_arrays();
-        let interleaved = evolve_cascade(
+        let interleaved = cascade(
             &mut int_platform,
             &task,
             &CascadeConfig {
@@ -1290,7 +1129,7 @@ mod tests {
             schedule: CascadeSchedule::Interleaved,
             ..CascadeConfig::paper(15, 2, 23)
         };
-        let result = evolve_cascade(&mut platform, &task, &config);
+        let result = cascade(&mut platform, &task, &config);
         assert_eq!(result.stage_fitness.len(), 2);
         assert!(result.final_fitness().expect("stages") < mae(&task.input, &task.reference));
     }
@@ -1303,7 +1142,7 @@ mod tests {
             init: CascadeInit::Random,
             ..CascadeConfig::paper(10, 2, 59)
         };
-        let result = evolve_cascade(&mut platform, &task, &config);
+        let result = cascade(&mut platform, &task, &config);
         assert_eq!(result.stage_fitness.len(), 2);
     }
 
@@ -1322,50 +1161,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_naive_cascades_are_byte_identical() {
-        // Unit-level spot check of the engine equivalence (the root proptest
-        // suite broadens it): same config and seed ⇒ identical genotypes,
-        // stage fitness and evaluation counts, and the compiled engine must
-        // actually have saved work.
-        let task = denoise_task(20, 0.35, 71);
-        for fitness in [CascadeFitness::Separate, CascadeFitness::Merged] {
-            for schedule in [CascadeSchedule::Sequential, CascadeSchedule::Interleaved] {
-                let config = CascadeConfig {
-                    fitness,
-                    schedule,
-                    ..CascadeConfig::paper(8, 2, 67)
-                };
-                let naive = {
-                    let mut platform = EhwPlatform::paper_three_arrays();
-                    evolve_cascade(
-                        &mut platform,
-                        &task,
-                        &CascadeConfig {
-                            engine: CascadeEngine::Naive,
-                            ..config
-                        },
-                    )
-                };
-                let compiled = {
-                    let mut platform = EhwPlatform::paper_three_arrays();
-                    evolve_cascade(&mut platform, &task, &config)
-                };
-                assert_eq!(
-                    naive.stage_genotypes, compiled.stage_genotypes,
-                    "{fitness:?}/{schedule:?}"
-                );
-                assert_eq!(naive.stage_fitness, compiled.stage_fitness);
-                assert_eq!(naive.evaluations, compiled.evaluations);
-                assert!(
-                    compiled.stats.early_exits > 0 || compiled.stats.memo_hits > 0,
-                    "engine saved nothing: {:?}",
-                    compiled.stats
-                );
-            }
-        }
-    }
-
-    #[test]
     fn compiled_cascade_is_identical_at_any_worker_count() {
         let task = denoise_task(20, 0.3, 73);
         let config = CascadeConfig {
@@ -1375,12 +1170,12 @@ mod tests {
         let reference = {
             let mut platform =
                 EhwPlatform::with_parallel(3, ehw_parallel::ParallelConfig::serial());
-            evolve_cascade(&mut platform, &task, &config)
+            cascade(&mut platform, &task, &config)
         };
         for workers in [2usize, 8] {
             let mut platform =
                 EhwPlatform::with_parallel(3, ehw_parallel::ParallelConfig::with_workers(workers));
-            let r = evolve_cascade(&mut platform, &task, &config);
+            let r = cascade(&mut platform, &task, &config);
             assert_eq!(r.stage_genotypes, reference.stage_genotypes);
             assert_eq!(r.stage_fitness, reference.stage_fitness);
             assert_eq!(r.evaluations, reference.evaluations);
@@ -1406,14 +1201,14 @@ mod tests {
             let reference = {
                 let mut platform =
                     EhwPlatform::with_parallel(3, ehw_parallel::ParallelConfig::serial());
-                evolve_cascade(&mut platform, &task, &config)
+                cascade(&mut platform, &task, &config)
             };
             for workers in [2usize, 8] {
                 let mut platform = EhwPlatform::with_parallel(
                     3,
                     ehw_parallel::ParallelConfig::with_workers(workers),
                 );
-                let r = evolve_cascade(&mut platform, &task, &config);
+                let r = cascade(&mut platform, &task, &config);
                 assert_eq!(r.stage_genotypes, reference.stage_genotypes, "{schedule:?}");
                 assert_eq!(r.stage_fitness, reference.stage_fitness);
                 assert_eq!(r.evaluations, reference.evaluations);

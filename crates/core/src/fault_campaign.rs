@@ -18,8 +18,9 @@
 //! of multi-fault events, and each event is recovered by walking a
 //! [`RecoveryPolicy`] escalation ladder
 //! (scrub → TMR remap → re-evolve, with per-step budgets and stop
-//! conditions).  The legacy entry points delegate to the scenario path with
-//! `SingleSweep` + the default ladder and stay byte-identical.
+//! conditions).  Campaigns run as
+//! [`JobSpec::FaultCampaign`](crate::jobs::JobSpec::FaultCampaign) jobs, whose
+//! default is the systematic sweep: `SingleSweep` under the default ladder.
 
 use ehw_array::array::ProcessingArray;
 use ehw_array::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
@@ -27,7 +28,6 @@ use ehw_evolution::fitness::{plan_mae, EngineStats, SoftwareEvaluator};
 use ehw_evolution::strategy::{run_evolution_with_parent, EsConfig, GenerationObserver};
 use ehw_image::window::SharedWindows;
 use ehw_parallel::ParallelConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::evo_modes::EvolutionTask;
 use crate::jobs::JobControl;
@@ -60,7 +60,7 @@ impl GenerationObserver for RecoveryStopObserver<'_> {
 }
 
 /// Result of injecting a fault at one PE position and recovering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PositionResult {
     /// Array the fault was injected into.
     pub array: usize,
@@ -121,7 +121,7 @@ impl PositionResult {
 /// degradation it caused on its array and what the recovery-policy ladder
 /// restored.  The generalisation of [`PositionResult`] to events that hit
 /// several PEs at once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventResult {
     /// Timeline position of the event within the scenario.
     pub tick: usize,
@@ -187,7 +187,7 @@ impl EventResult {
 /// (the historic per-PE view); every other scenario kind fills
 /// [`events`](CampaignReport::events).  The aggregate statistics range over
 /// whichever side is populated.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignReport {
     /// Name of the scenario that produced the report (empty for a
     /// default-constructed report).
@@ -459,139 +459,27 @@ fn run_event(
     }
 }
 
-/// Runs a systematic PE-level fault campaign over every position of the given
-/// arrays, using the platform's [`ParallelConfig`] to shard positions over
-/// host workers.
-///
-/// For each position a snapshot of the array is restored to `baseline`, a
-/// permanent dummy-PE fault is injected, and recovery runs a (1+λ) evolution
-/// on the damaged array seeded with the baseline genotype.  The report lists
-/// positions in injection order — array by array, row-major — regardless of
-/// how the work was scheduled, and the platform is left clean and configured
-/// with the baseline.
-///
-/// Thin shim over the job path: builds a [`crate::jobs::JobSpec`] from the
-/// arguments and runs it through [`crate::jobs::execute`] on this platform.
-/// New code should submit the spec to the `ehw-service` front-end instead.
-pub fn systematic_fault_campaign(
-    platform: &mut EhwPlatform,
-    baseline: &Genotype,
-    task: &EvolutionTask,
-    recovery: &EsConfig,
-    arrays: &[usize],
-) -> CampaignReport {
-    let spec = crate::jobs::campaign_spec_from_config(
-        task.clone(),
-        baseline.clone(),
-        arrays.to_vec(),
-        platform.num_arrays(),
-        recovery,
-    );
-    let job = crate::jobs::execute(platform, &spec, recovery.seed);
-    match job.output {
-        crate::jobs::JobOutput::FaultCampaign(report) => report,
-        _ => unreachable!("a campaign spec produces a campaign output"),
-    }
-}
-
-/// [`systematic_fault_campaign`] under an explicit [`ParallelConfig`].
-///
-/// Sharding is scheduling only: each position derives its state from an
-/// immutable snapshot of the platform and the recovery seed, so any worker
-/// count produces a byte-identical report (the cross-thread determinism
-/// suite asserts 1 == 2 == 8 workers).
-pub fn systematic_fault_campaign_with(
-    platform: &mut EhwPlatform,
-    baseline: &Genotype,
-    task: &EvolutionTask,
-    recovery: &EsConfig,
-    arrays: &[usize],
-    parallel: ParallelConfig,
-) -> CampaignReport {
-    // A fresh token is never cancelled and carries no deadline, so this is
-    // exactly the historical uncontrolled campaign.
-    systematic_fault_campaign_controlled(
-        platform,
-        baseline,
-        task,
-        recovery,
-        arrays,
-        parallel,
-        &JobControl::new(),
-    )
-}
-
-/// [`systematic_fault_campaign_with`] under a job-level cancellation token.
-///
-/// A cancelled campaign winds down cooperatively: every position still
-/// performs its clean/faulty measurements (cheap, and what keeps the report
-/// shape deterministic), but each recovery evolution stops at its first
-/// generation boundary after the token fires.  The partial report is
-/// discarded by the job layer, which replaces the output with
-/// [`crate::jobs::JobOutput::Cancelled`].
-#[allow(clippy::too_many_arguments)]
-pub fn systematic_fault_campaign_controlled(
-    platform: &mut EhwPlatform,
-    baseline: &Genotype,
-    task: &EvolutionTask,
-    recovery: &EsConfig,
-    arrays: &[usize],
-    parallel: ParallelConfig,
-    control: &JobControl,
-) -> CampaignReport {
-    scenario_fault_campaign_controlled(
-        platform,
-        baseline,
-        task,
-        recovery,
-        arrays,
-        &FaultScenario::single_sweep(),
-        &RecoveryPolicy::default_ladder(),
-        parallel,
-        control,
-    )
-}
-
 /// Runs a declarative [`FaultScenario`] under a [`RecoveryPolicy`] ladder —
-/// the general campaign every other entry point is a special case of.
+/// the engine behind [`JobSpec::FaultCampaign`](crate::jobs::JobSpec::FaultCampaign).
 ///
 /// The scenario is first compiled into its deterministic injection schedule
 /// (seeded from the recovery config's seed), then every event runs a
-/// measure → ladder → measure cycle on a snapshot of its
-/// array, sharded over the given [`ParallelConfig`].  A `SingleSweep`
-/// scenario fills the report's legacy `positions` view (and, under the
-/// default ladder, is byte-identical to the historic systematic campaign);
+/// measure → ladder → measure cycle on a snapshot of its array, sharded over
+/// the given [`ParallelConfig`].  Sharding is scheduling only: each event
+/// derives its state from an immutable snapshot of the platform and the
+/// recovery seed, so any worker count produces a byte-identical report.  A
+/// `SingleSweep` scenario fills the report's per-position `positions` view;
 /// every other kind fills `events`.  The platform is left configured with
-/// the baseline on every targeted array, as the sweep always has.
+/// the baseline on every targeted array.
+///
+/// A cancelled campaign winds down cooperatively: every event still
+/// performs its clean/faulty measurements (cheap, and what keeps the report
+/// shape deterministic), but each recovery evolution stops at its first
+/// generation boundary after the token fires.  The job layer then discards
+/// the partial report in favour of
+/// [`JobOutput::Cancelled`](crate::jobs::JobOutput::Cancelled).
 #[allow(clippy::too_many_arguments)]
-pub fn scenario_fault_campaign_with(
-    platform: &mut EhwPlatform,
-    baseline: &Genotype,
-    task: &EvolutionTask,
-    recovery: &EsConfig,
-    arrays: &[usize],
-    scenario: &FaultScenario,
-    policy: &RecoveryPolicy,
-    parallel: ParallelConfig,
-) -> CampaignReport {
-    scenario_fault_campaign_controlled(
-        platform,
-        baseline,
-        task,
-        recovery,
-        arrays,
-        scenario,
-        policy,
-        parallel,
-        &JobControl::new(),
-    )
-}
-
-/// [`scenario_fault_campaign_with`] under a job-level cancellation token
-/// (see [`systematic_fault_campaign_controlled`] for the wind-down
-/// semantics).
-#[allow(clippy::too_many_arguments)]
-pub fn scenario_fault_campaign_controlled(
+pub(crate) fn scenario_fault_campaign_controlled(
     platform: &mut EhwPlatform,
     baseline: &Genotype,
     task: &EvolutionTask,
@@ -656,6 +544,7 @@ pub fn scenario_fault_campaign_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::{execute, FaultCampaignBuilder, JobSpec};
     use ehw_image::noise::salt_pepper;
     use ehw_image::synth;
     use rand::rngs::StdRng;
@@ -668,18 +557,31 @@ mod tests {
         EvolutionTask::new(noisy, clean)
     }
 
+    /// A campaign spec over `task` recovering with `recovery` (identity
+    /// baseline, array 0, the systematic sweep unless overridden).
+    fn campaign(task: &EvolutionTask, recovery: EsConfig) -> FaultCampaignBuilder {
+        JobSpec::fault_campaign(task.input.clone(), task.reference.clone())
+            .recovery_config(recovery)
+    }
+
+    /// Runs a campaign spec through the job path with the recovery seed.
+    fn run(platform: &mut EhwPlatform, spec: FaultCampaignBuilder, seed: u64) -> CampaignReport {
+        let spec = spec.build().expect("valid campaign spec");
+        let job = execute(platform, &spec, seed);
+        job.as_campaign().expect("campaign job").clone()
+    }
+
     #[test]
     fn campaign_covers_every_position_of_the_requested_array() {
         let mut platform = EhwPlatform::new(1);
         let task = small_task(1);
-        let baseline = Genotype::identity();
         let recovery = EsConfig::paper(1, 1, 3, 7);
-        let report = systematic_fault_campaign(&mut platform, &baseline, &task, &recovery, &[0]);
+        let report = run(&mut platform, campaign(&task, recovery), recovery.seed);
         assert_eq!(report.len(), 16);
         assert!(!report.is_empty());
         // The platform is left clean and configured with the baseline.
         assert!(platform.injected_faults().is_empty());
-        assert_eq!(platform.acb(0).genotype(), &baseline);
+        assert_eq!(platform.acb(0).genotype(), &Genotype::identity());
         // Every position carries the engine counters of its recovery
         // evolution, and the aggregate is their sum.
         let total = report.total_stats();
@@ -703,9 +605,8 @@ mod tests {
         // other rows never reach the output.
         let mut platform = EhwPlatform::new(1);
         let task = small_task(2);
-        let baseline = Genotype::identity();
         let recovery = EsConfig::paper(1, 1, 2, 9);
-        let report = systematic_fault_campaign(&mut platform, &baseline, &task, &recovery, &[0]);
+        let report = run(&mut platform, campaign(&task, recovery), recovery.seed);
         for p in &report.positions {
             if p.row == 0 {
                 assert!(
@@ -725,9 +626,8 @@ mod tests {
     fn recovery_never_reports_worse_than_faulty_state() {
         let mut platform = EhwPlatform::new(1);
         let task = small_task(3);
-        let baseline = Genotype::identity();
         let recovery = EsConfig::paper(2, 1, 10, 11);
-        let report = systematic_fault_campaign(&mut platform, &baseline, &task, &recovery, &[0]);
+        let report = run(&mut platform, campaign(&task, recovery), recovery.seed);
         for p in &report.positions {
             // Recovery is seeded with the baseline genotype evaluated on the
             // damaged array, and selection is elitist.
@@ -741,29 +641,14 @@ mod tests {
     #[test]
     fn campaign_report_is_identical_at_any_worker_count() {
         let task = small_task(5);
-        let baseline = Genotype::identity();
         let recovery = EsConfig::paper(1, 1, 3, 21);
-        let reference = {
-            let mut platform = EhwPlatform::new(1);
-            systematic_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                ParallelConfig::serial(),
-            )
+        let run_with = |parallel: ParallelConfig| {
+            let mut platform = EhwPlatform::with_parallel(1, parallel);
+            run(&mut platform, campaign(&task, recovery), recovery.seed)
         };
+        let reference = run_with(ParallelConfig::serial());
         for workers in [2usize, 8] {
-            let mut platform = EhwPlatform::new(1);
-            let report = systematic_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                ParallelConfig::with_workers(workers),
-            );
+            let report = run_with(ParallelConfig::with_workers(workers));
             assert_eq!(
                 report.positions, reference.positions,
                 "campaign diverged at {workers} workers"
@@ -776,9 +661,9 @@ mod tests {
         let mut platform = EhwPlatform::new(2);
         platform.set_parallel_config(ParallelConfig::with_workers(4));
         let task = small_task(6);
-        let baseline = Genotype::identity();
         let recovery = EsConfig::paper(1, 1, 2, 3);
-        let report = systematic_fault_campaign(&mut platform, &baseline, &task, &recovery, &[1, 0]);
+        let spec = campaign(&task, recovery).arrays(vec![1, 0]);
+        let report = run(&mut platform, spec, recovery.seed);
         assert_eq!(report.len(), 32);
         let order: Vec<(usize, usize, usize)> = report
             .positions
@@ -837,33 +722,25 @@ mod tests {
 
     #[test]
     fn scenario_single_sweep_under_default_policy_matches_the_legacy_campaign() {
+        // The default campaign job is the paper's systematic sweep: exactly
+        // `SingleSweep` under the default ladder.
         let task = small_task(7);
-        let baseline = Genotype::identity();
         let recovery = EsConfig::paper(1, 1, 3, 13);
-        let legacy = {
-            let mut platform = EhwPlatform::new(1);
-            systematic_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                ParallelConfig::serial(),
-            )
-        };
+        let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
+        let default_job = run(&mut platform, campaign(&task, recovery), recovery.seed);
         let mut platform = EhwPlatform::new(1);
-        let scenario = FaultScenario::single_sweep();
-        let report = scenario_fault_campaign_with(
+        let report = scenario_fault_campaign_controlled(
             &mut platform,
-            &baseline,
+            &Genotype::identity(),
             &task,
             &recovery,
             &[0],
-            &scenario,
+            &FaultScenario::single_sweep(),
             &RecoveryPolicy::default_ladder(),
             ParallelConfig::serial(),
+            &JobControl::new(),
         );
-        assert_eq!(report, legacy);
+        assert_eq!(report, default_job);
         assert_eq!(report.scenario, "single_sweep");
         assert_eq!(report.policy, "reevolve");
         assert!(report.events.is_empty());
@@ -871,10 +748,8 @@ mod tests {
 
     #[test]
     fn scrub_ladder_heals_transient_bursts_without_evolving() {
-        use crate::scenario::ScenarioKind;
         let mut platform = EhwPlatform::new(1);
         let task = small_task(8);
-        let baseline = Genotype::identity();
         let recovery = EsConfig::paper(1, 1, 5, 17);
         let scenario = FaultScenario::new(
             "burst",
@@ -883,16 +758,10 @@ mod tests {
                 width: 2,
             },
         );
-        let report = scenario_fault_campaign_with(
-            &mut platform,
-            &baseline,
-            &task,
-            &recovery,
-            &[0],
-            &scenario,
-            &RecoveryPolicy::scrub_then_reevolve(),
-            ParallelConfig::serial(),
-        );
+        let spec = campaign(&task, recovery)
+            .scenario(scenario)
+            .policy(RecoveryPolicy::scrub_then_reevolve());
+        let report = run(&mut platform, spec, recovery.seed);
         assert!(report.positions.is_empty());
         assert!(!report.events.is_empty());
         for event in &report.events {
@@ -913,27 +782,16 @@ mod tests {
 
     #[test]
     fn tmr_remap_rung_measures_every_output_row() {
-        use crate::scenario::ScenarioKind;
-        use crate::self_healing::RecoveryStep;
         let mut platform = EhwPlatform::new(1);
         let task = small_task(9);
-        let baseline = Genotype::identity();
         let recovery = EsConfig::paper(1, 1, 2, 19);
-        let scenario = FaultScenario::new("lpd", ScenarioKind::PermanentLpd);
-        let policy = RecoveryPolicy {
-            steps: vec![RecoveryStep::TmrRemap],
-            stop_margin: None,
-        };
-        let report = scenario_fault_campaign_with(
-            &mut platform,
-            &baseline,
-            &task,
-            &recovery,
-            &[0],
-            &scenario,
-            &policy,
-            ParallelConfig::serial(),
-        );
+        let spec = campaign(&task, recovery)
+            .scenario(FaultScenario::new("lpd", ScenarioKind::PermanentLpd))
+            .policy(RecoveryPolicy {
+                steps: vec![RecoveryStep::TmrRemap],
+                stop_margin: None,
+            });
+        let report = run(&mut platform, spec, recovery.seed);
         assert_eq!(report.events.len(), 1);
         let event = &report.events[0];
         assert_eq!(
@@ -947,32 +805,21 @@ mod tests {
 
     #[test]
     fn reevolve_wall_clock_budget_cuts_recovery_short() {
-        use crate::scenario::ScenarioKind;
-        use crate::self_healing::RecoveryStep;
         let mut platform = EhwPlatform::new(1);
         let task = small_task(12);
-        let baseline = Genotype::identity();
         // An absurd generation budget that only the wall-clock bound can end.
         let recovery = EsConfig::paper(1, 1, 5, 29);
-        let scenario = FaultScenario::new("lpd", ScenarioKind::PermanentLpd);
-        let policy = RecoveryPolicy {
-            steps: vec![RecoveryStep::Reevolve {
-                generations: Some(1_000_000),
-                max_millis: Some(50),
-            }],
-            stop_margin: None,
-        };
+        let spec = campaign(&task, recovery)
+            .scenario(FaultScenario::new("lpd", ScenarioKind::PermanentLpd))
+            .policy(RecoveryPolicy {
+                steps: vec![RecoveryStep::Reevolve {
+                    generations: Some(1_000_000),
+                    max_millis: Some(50),
+                }],
+                stop_margin: None,
+            });
         let start = std::time::Instant::now();
-        let report = scenario_fault_campaign_with(
-            &mut platform,
-            &baseline,
-            &task,
-            &recovery,
-            &[0],
-            &scenario,
-            &policy,
-            ParallelConfig::serial(),
-        );
+        let report = run(&mut platform, spec, recovery.seed);
         assert!(
             start.elapsed() < std::time::Duration::from_secs(30),
             "wall-clock budget did not cut the recovery evolution short"
@@ -988,42 +835,24 @@ mod tests {
 
     #[test]
     fn scenario_campaigns_are_identical_at_any_worker_count() {
-        use crate::scenario::{CorrelationShape, ScenarioKind};
+        use crate::scenario::CorrelationShape;
         let task = small_task(10);
-        let baseline = Genotype::identity();
         let recovery = EsConfig::paper(1, 1, 2, 23);
-        let scenario = FaultScenario::new(
-            "corr",
-            ScenarioKind::Correlated {
-                shape: CorrelationShape::Col,
-            },
-        );
-        let policy = RecoveryPolicy::full_ladder();
-        let reference = {
-            let mut platform = EhwPlatform::new(1);
-            scenario_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                &scenario,
-                &policy,
-                ParallelConfig::serial(),
-            )
+        let run_with = |parallel: ParallelConfig| {
+            let spec = campaign(&task, recovery)
+                .scenario(FaultScenario::new(
+                    "corr",
+                    ScenarioKind::Correlated {
+                        shape: CorrelationShape::Col,
+                    },
+                ))
+                .policy(RecoveryPolicy::full_ladder());
+            let mut platform = EhwPlatform::with_parallel(1, parallel);
+            run(&mut platform, spec, recovery.seed)
         };
+        let reference = run_with(ParallelConfig::serial());
         for workers in [2usize, 8] {
-            let mut platform = EhwPlatform::new(1);
-            let report = scenario_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                &scenario,
-                &policy,
-                ParallelConfig::with_workers(workers),
-            );
+            let report = run_with(ParallelConfig::with_workers(workers));
             assert_eq!(report, reference, "campaign diverged at {workers} workers");
         }
     }

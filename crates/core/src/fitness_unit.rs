@@ -14,10 +14,9 @@
 
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
-use serde::{Deserialize, Serialize};
 
 /// What the fitness unit compares the array output against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitnessSource {
     /// Compare against the reference image (normal evolution).
     #[default]
@@ -29,7 +28,7 @@ pub enum FitnessSource {
 }
 
 /// The streaming MAE accumulator of one ACB.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FitnessUnit {
     source: FitnessSource,
     last_fitness: Option<u64>,

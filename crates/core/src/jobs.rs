@@ -1,13 +1,9 @@
 //! The job path: one typed request format for every workload the platform
 //! serves.
 //!
-//! Historically each workload had its own ad-hoc entry point — single-filter
-//! and parallel evolution through
-//! [`run_evolution`](ehw_evolution::strategy::run_evolution) plus a hand-wired
-//! evaluator, cascades through `evolve_cascade`, fault campaigns through
-//! `systematic_fault_campaign` — each owning one [`EhwPlatform`] and its own
-//! validation (mostly `assert!`s that fire mid-run).  This module turns those
-//! workloads into *data*:
+//! Every workload — single-filter and parallel evolution, cascades, fault
+//! campaigns and streams — is *data*, validated once and run by one
+//! execution path:
 //!
 //! * [`JobSpec`] — a validated, self-contained description of one unit of
 //!   service work (an evolution, a cascade, or a fault campaign), built
@@ -21,11 +17,9 @@
 //!   [`EngineStats`] the same way, with the kind-specific payload preserved
 //!   in [`JobOutput`].
 //!
-//! The legacy free functions (`evolve_parallel`, `evolve_cascade`,
-//! `systematic_fault_campaign`) still exist but are thin shims that build a
-//! spec and call [`execute`] — new code should construct specs directly and
-//! submit them to the `ehw-service` front-end, which multiplexes jobs over a
-//! sharded pool of platforms.
+//! The `ehw-service` front-end multiplexes submitted specs over a sharded
+//! pool of platforms; [`execute`] runs one spec on a platform the caller
+//! owns.
 //!
 //! # Determinism
 //!
@@ -52,7 +46,7 @@ use ehw_stream::{
 };
 
 use crate::evo_modes::{
-    CascadeConfig, CascadeEngine, CascadeInit, CascadeResult, EvolutionTask, PlatformEvaluator,
+    CascadeConfig, CascadeInit, CascadeResult, EvolutionTask, PlatformEvaluator,
 };
 use crate::fault_campaign::CampaignReport;
 use crate::modes::{CascadeFitness, CascadeSchedule};
@@ -425,13 +419,6 @@ impl CascadeBuilder {
         self
     }
 
-    /// Candidate-evaluation engine (default compiled; results are
-    /// byte-identical in either mode).
-    pub fn engine(mut self, engine: CascadeEngine) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
     /// Pins the RNG seed (see [`EvolutionBuilder::seed`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
@@ -460,8 +447,7 @@ impl CascadeBuilder {
 /// arrays, and recover each one by walking the recovery-policy ladder.
 ///
 /// The default scenario/policy pair — a `SingleSweep` under the one-rung
-/// re-evolve ladder — is the paper's systematic campaign (§VI.D), and legacy
-/// constructors map to exactly that.
+/// re-evolve ladder — is the paper's systematic campaign (§VI.D).
 #[derive(Debug, Clone)]
 pub struct FaultCampaignSpec {
     task: EvolutionTask,
@@ -937,54 +923,6 @@ impl JobSpec {
     }
 }
 
-// Lossless spec construction for the legacy shims.  Deliberately skips the
-// builder validation: invalid values keep panicking inside the engines
-// exactly as they always did, so shimmed callers observe identical
-// behaviour.
-
-pub(crate) fn evolution_spec_from_config(task: EvolutionTask, config: &EsConfig) -> JobSpec {
-    JobSpec::Evolution(EvolutionSpec {
-        task,
-        config: *config,
-        seed: Some(config.seed),
-        warm_start: false,
-    })
-}
-
-pub(crate) fn cascade_spec_from_config(
-    task: EvolutionTask,
-    stages: usize,
-    config: &CascadeConfig,
-) -> JobSpec {
-    JobSpec::Cascade(CascadeSpec {
-        task,
-        stages,
-        config: *config,
-        seed: Some(config.seed),
-    })
-}
-
-pub(crate) fn campaign_spec_from_config(
-    task: EvolutionTask,
-    baseline: Genotype,
-    arrays: Vec<usize>,
-    platform_arrays: usize,
-    recovery: &EsConfig,
-) -> JobSpec {
-    JobSpec::FaultCampaign(FaultCampaignSpec {
-        task,
-        baseline,
-        arrays,
-        platform_arrays,
-        recovery: *recovery,
-        // The legacy free functions are, by definition, the systematic sweep
-        // under the historic reaction.
-        scenario: FaultScenario::single_sweep(),
-        policy: RecoveryPolicy::default_ladder(),
-        seed: Some(recovery.seed),
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Cooperative cancellation
 // ---------------------------------------------------------------------------
@@ -1285,14 +1223,13 @@ impl JobResult {
 // ---------------------------------------------------------------------------
 
 /// Executes a job spec on the given platform with the given effective seed —
-/// the single path every entry point (legacy shims and the `ehw-service`
-/// front-end) funnels through.
+/// the single path every caller, the `ehw-service` front-end included,
+/// funnels through.
 ///
 /// The platform's array count must match [`JobSpec::arrays_needed`], and the
 /// platform's [`ParallelConfig`](ehw_parallel::ParallelConfig) governs host
 /// parallelism (scheduling only: results are byte-identical at any worker
-/// count).  The evolved circuits are left configured in the platform, exactly
-/// as the legacy entry points always did.
+/// count).  The evolved circuits are left configured in the platform.
 pub fn execute(platform: &mut EhwPlatform, spec: &JobSpec, seed: u64) -> JobResult {
     execute_controlled(platform, spec, seed, &JobControl::new(), &mut |_| {})
 }
@@ -1421,20 +1358,15 @@ pub fn execute_controlled_cached(
         JobSpec::Cascade(s) => {
             let config = CascadeConfig { seed, ..s.config };
             let mut stopped = None;
-            let result = crate::evo_modes::evolve_cascade_with_engine(
-                platform,
-                &s.task,
-                &config,
-                &mut |step| {
-                    progress(JobProgress {
-                        generation: step,
-                        best_fitness: None,
-                        stream: None,
-                    });
-                    stopped = stopped.or_else(|| control.stop_reason());
-                    stopped.is_none()
-                },
-            );
+            let result = crate::evo_modes::run_cascade(platform, &s.task, &config, &mut |step| {
+                progress(JobProgress {
+                    generation: step,
+                    best_fitness: None,
+                    stream: None,
+                });
+                stopped = stopped.or_else(|| control.stop_reason());
+                stopped.is_none()
+            });
             let (evaluations, stats) = (result.evaluations, result.stats);
             let output = match stopped {
                 Some(kind) => JobOutput::Cancelled(kind),

@@ -27,9 +27,7 @@
 //!   **resource-utilisation model** of §VI.A,
 //! * the **job path** ([`jobs`]): every workload as a typed, validated
 //!   [`JobSpec`] executed through one uniform entry point — the layer the
-//!   `ehw-service` front-end multiplexes over a sharded platform pool.  The
-//!   legacy `evo_modes`/`fault_campaign` free functions are thin shims over
-//!   it.
+//!   `ehw-service` front-end multiplexes over a sharded platform pool.
 //!
 //! The top-level type is [`platform::EhwPlatform`]; see the examples for
 //! ready-to-run scenarios (quick start, cascaded denoising, TMR self-healing,

@@ -6,10 +6,8 @@
 //! configuration vocabulary consumed by [`crate::platform::EhwPlatform`] and
 //! the evolution drivers in [`crate::evo_modes`].
 
-use serde::{Deserialize, Serialize};
-
 /// Mission-time arrangement of the processing arrays (§IV.A, Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessingMode {
     /// Every array receives its own input and works on its own task.
     Independent,
@@ -22,7 +20,7 @@ pub enum ProcessingMode {
 }
 
 /// How the stages of a cascade are specialised (§IV.A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CascadeStyle {
     /// All stages pursue the same reference (e.g. progressive noise removal);
     /// each stage is specialised for the output of the previous one.
@@ -33,7 +31,7 @@ pub enum CascadeStyle {
 }
 
 /// Adaptation-time strategy (§IV.B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvolutionMode {
     /// Each array is evolved on its own, sequentially, with its own
     /// reference.
@@ -58,7 +56,7 @@ pub enum EvolutionMode {
 }
 
 /// Fitness arrangement for cascaded evolution (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CascadeFitness {
     /// Each array is evolved considering its own fitness unit (all against
     /// the same reference).
@@ -69,7 +67,7 @@ pub enum CascadeFitness {
 }
 
 /// Stage scheduling for cascaded evolution (§IV.B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CascadeSchedule {
     /// Stage *i + 1* is adapted only once stage *i* has finished.
     Sequential,

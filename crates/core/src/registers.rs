@@ -10,14 +10,13 @@
 //! index from the upper address bits.  The evolutionary algorithm (software)
 //! writes mode / mux / bypass settings and reads back fitness and latency.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Number of register words reserved per ACB (the address stride).
 pub const ACB_REGISTER_STRIDE: u32 = 16;
 
 /// Register offsets within one ACB bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum AcbRegister {
     /// Operation-mode selector (independent / parallel / cascaded / bypass).
@@ -41,7 +40,7 @@ pub enum AcbRegister {
 }
 
 /// The memory-mapped register file of the whole platform.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RegisterFile {
     values: BTreeMap<u32, u32>,
     reads: u64,

@@ -11,10 +11,9 @@
 use ehw_fabric::device::{DeviceGeometry, ARRAY_CLBS};
 use ehw_fabric::resources::ResourceUsage;
 use ehw_reconfig::timing::PE_RECONFIG_TIME_US;
-use serde::{Deserialize, Serialize};
 
 /// Resource breakdown of a platform with a given number of arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformResources {
     /// Number of Array Control Blocks.
     pub arrays: usize,

@@ -29,7 +29,6 @@ use ehw_fabric::fault::FaultKind;
 pub use ehw_fabric::scenario::{CorrelationShape, ScenarioError, ScenarioKind, StormPhase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedSequence};
-use serde::{Deserialize, Serialize};
 
 use crate::fault_campaign::CampaignReport;
 use crate::self_healing::RecoveryPolicy;
@@ -42,7 +41,7 @@ pub const PES_PER_ARRAY: usize = ARRAY_ROWS * ARRAY_COLS;
 // ---------------------------------------------------------------------------
 
 /// Which PE positions of each targeted array a scenario may inject into.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TargetFilter {
     /// Every PE position (the default).
     All,
@@ -68,7 +67,7 @@ impl TargetFilter {
 
 /// A named, declarative fault scenario: *what* shape of damage to inject,
 /// *where* it may land, and *which* seed stream its randomness draws from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultScenario {
     /// Registry name (also the label campaign reports carry).
     pub name: String,
@@ -93,8 +92,8 @@ impl FaultScenario {
         }
     }
 
-    /// The legacy campaign as a scenario value: a systematic single-PE sweep
-    /// over every position.
+    /// The paper's systematic campaign (§VI.D) as a scenario value: a
+    /// single-PE sweep over every position.
     pub fn single_sweep() -> Self {
         FaultScenario::new("single_sweep", ScenarioKind::SingleSweep)
     }
@@ -364,7 +363,7 @@ fn draw_probabilistic(rng: &mut StdRng, pool: &[(usize, usize)], rate: f64) -> V
 // ---------------------------------------------------------------------------
 
 /// One planned PE fault of an [`InjectionEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedFault {
     /// PE row.
     pub row: usize,
@@ -378,7 +377,7 @@ pub struct PlannedFault {
 
 impl PlannedFault {
     /// The paper's permanent dummy-PE fault at one position — what the
-    /// legacy systematic sweep injects.
+    /// systematic sweep injects.
     pub fn dummy_lpd(row: usize, col: usize) -> Self {
         PlannedFault {
             row,
@@ -391,7 +390,7 @@ impl PlannedFault {
 
 /// One injection event: a set of simultaneous faults on one array at one
 /// point of the scenario timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InjectionEvent {
     /// Timeline position (bursts/storms share one tick across arrays).
     pub tick: usize,
@@ -403,7 +402,7 @@ pub struct InjectionEvent {
 
 /// A compiled injection plan: the full, deterministic list of events a
 /// campaign will execute, fixed before any worker starts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InjectionSchedule {
     /// The events, in execution order.
     pub events: Vec<InjectionEvent>,
@@ -574,7 +573,7 @@ impl ScenarioRegistry {
 
 /// One row of a [`ResilienceReport`]: how one recovery policy fared against
 /// one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceEntry {
     /// Scenario name.
     pub scenario: String,
@@ -597,7 +596,7 @@ pub struct ResilienceEntry {
 /// The per-scenario × per-policy comparison table: one row per campaign,
 /// aggregated from the campaigns' [`CampaignReport`]s — the single artefact
 /// a resilience study reads.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceReport {
     /// One row per `(scenario, policy)` campaign, in insertion order.
     pub entries: Vec<ResilienceEntry>,

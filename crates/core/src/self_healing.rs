@@ -21,7 +21,6 @@
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
 use ehw_image::window::SharedWindows;
-use serde::{Deserialize, Serialize};
 
 use ehw_evolution::fitness::{plan_filter_windows, plan_mae, plan_mae_bounded, SoftwareEvaluator};
 use ehw_evolution::strategy::{run_evolution_with_parent, EsConfig, NullObserver};
@@ -31,7 +30,7 @@ use crate::platform::EhwPlatform;
 use crate::voter::{FitnessVote, FitnessVoter, PixelVoter};
 
 /// How a permanent fault was recovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryMethod {
     /// Re-evolution against the original reference image.
     ReEvolution,
@@ -44,7 +43,7 @@ pub enum RecoveryMethod {
 }
 
 /// Outcome of one self-healing check on one array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealingOutcome {
     /// The fitness matched the calibration value: no fault.
     NoFaultDetected,
@@ -61,7 +60,7 @@ pub enum HealingOutcome {
 }
 
 /// One self-healing event, tied to the array it concerns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealingEvent {
     /// The array the event refers to.
     pub array: usize,
@@ -89,7 +88,7 @@ pub struct RecoveryConfig {
 /// Each step is a bounded reaction the campaign executor can apply to a
 /// damaged array, cheapest first; the historic hard-coded reaction sequence
 /// (scrub → remap → re-evolve) is now just one particular ladder value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryStep {
     /// Rewrite the configuration memory from the golden copy: removes every
     /// scrubbing-recoverable (SEU) fault, leaves permanent damage in place.
@@ -147,9 +146,9 @@ impl RecoveryStep {
 /// executor checks the stop condition: with `stop_margin: Some(m)` the
 /// ladder stops escalating once the best measured fitness is within `m` of
 /// the clean baseline; with `None` every step always runs (the historic
-/// behaviour — the legacy campaign always re-evolved, even on non-critical
-/// positions).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// behaviour — the systematic campaign always re-evolves, even on
+/// non-critical positions).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// The reaction steps, cheapest first.
     pub steps: Vec<RecoveryStep>,

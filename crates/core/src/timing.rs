@@ -22,10 +22,9 @@
 
 use ehw_evolution::strategy::GenerationObserver;
 use ehw_reconfig::timing::TimingModel;
-use serde::{Deserialize, Serialize};
 
 /// Estimate of a complete evolution run's wall-clock time on the platform.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvolutionTimeEstimate {
     /// Total model time, in seconds.
     pub total_s: f64,
@@ -150,7 +149,7 @@ impl PipelineTimer {
 
 /// Schedule of one candidate within a generation (Fig. 11): when its
 /// reconfiguration occupies the engine and when its evaluation finishes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateSchedule {
     /// Candidate index within the generation.
     pub candidate: usize,

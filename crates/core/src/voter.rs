@@ -15,10 +15,9 @@
 //!   how many pixels had to be outvoted, a useful diagnostic.
 
 use ehw_image::image::GrayImage;
-use serde::{Deserialize, Serialize};
 
 /// Verdict of the fitness voter for one comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FitnessVote {
     /// All fitness values agree within the threshold.
     Agreement,
@@ -32,7 +31,7 @@ pub enum FitnessVote {
 }
 
 /// The fitness voter: compares the three per-array fitness values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitnessVoter {
     /// Maximum absolute fitness difference still considered "equal".
     pub threshold: u64,
@@ -113,7 +112,7 @@ impl PixelVoteResult {
 /// The pixel voter: bit-exact 2-out-of-3 majority per pixel.  When all three
 /// values differ, the median value is used (the standard fallback for
 /// non-binary TMR voting on numeric streams).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PixelVoter;
 
 impl PixelVoter {

@@ -18,7 +18,6 @@
 //! *PE genes* that differ from what is currently configured in the array.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::pe::PeFunction;
 
@@ -38,7 +37,7 @@ pub const TOTAL_GENES: usize = PE_GENES + INPUT_GENES + 1;
 /// The genotype of one array: a complete, reconfigurable description of the
 /// circuit (the *phenotype* is obtained by configuring the PEs and muxes
 /// accordingly).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Genotype {
     /// PE function genes in row-major order (4 bits each, values 0–15).
     pub pe_genes: [u8; PE_GENES],

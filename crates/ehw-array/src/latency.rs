@@ -8,8 +8,6 @@
 //! that the fitness unit compares the right output pixel against the right
 //! reference pixel (and so that cascaded stages stay aligned).
 
-use serde::{Deserialize, Serialize};
-
 use crate::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
 
 /// Extra cycles spent in the window-formation line buffers before the first
@@ -19,7 +17,7 @@ use crate::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
 pub const WINDOW_FORMATION_CYCLES: u64 = 2;
 
 /// Latency description of one configured array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayLatency {
     /// Pipeline depth in clock cycles from the array inputs to the selected
     /// output.

@@ -15,13 +15,11 @@
 //! §VI.D: a faulty PE ignores its configured function and produces either a
 //! pseudo-random value (the paper's "dummy PE") or a stuck value.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of PE functions in the presynthesized library (4-bit gene).
 pub const PE_FUNCTION_COUNT: usize = 16;
 
 /// The 16 PE operations.  `W` is the west input, `N` the north input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum PeFunction {
     /// Pass the west input through unchanged.
@@ -139,7 +137,7 @@ impl PeFunction {
 /// a modified bitstream corresponding to a *dummy PE which generates a random
 /// value in its output*.  [`FaultBehaviour::RandomOutput`] reproduces that; a
 /// stuck-at variant is also provided for ablation studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultBehaviour {
     /// The PE outputs a pseudo-random value, derived deterministically from
     /// its inputs and this seed (so a faulty array is still a pure function

@@ -15,13 +15,12 @@
 //! generation) consume.
 
 use ehw_fabric::region::PeSlot;
-use serde::{Deserialize, Serialize};
 
 use crate::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
 
 /// One required PE reconfiguration: write function `gene` into the PE at
 /// `(row, col)` of array `array_index`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeWrite {
     /// Target array (Array Control Block index).
     pub array_index: usize,
@@ -41,7 +40,7 @@ impl PeWrite {
 }
 
 /// The reconfiguration plan for moving an array from `current` to `candidate`.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReconfigPlan {
     /// PE writes that must go through the reconfiguration engine.
     pub pe_writes: Vec<PeWrite>,

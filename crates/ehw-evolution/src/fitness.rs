@@ -102,7 +102,7 @@ pub trait FitnessEvaluator {
 }
 
 /// Work-saved counters of an engine-backed evaluator.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Candidates actually run through a compiled plan (memo misses).
     pub plans_evaluated: u64,

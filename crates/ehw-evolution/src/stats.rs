@@ -5,10 +5,8 @@
 //! 12–15) as well as best-of-run values (Fig. 17).  [`Summary`] captures the
 //! statistics the experiment binaries print for each sweep point.
 
-use serde::{Deserialize, Serialize};
-
 /// Basic descriptive statistics of a set of samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

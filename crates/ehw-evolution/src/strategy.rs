@@ -21,14 +21,13 @@
 use ehw_parallel::ParallelConfig;
 use rand::rngs::StdRng;
 use rand::{SeedSequence, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use ehw_array::genotype::Genotype;
 
 use crate::fitness::FitnessEvaluator;
 
 /// How offspring are produced from the current parent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationStrategy {
     /// Classic EA: every offspring mutates the parent with the nominal rate.
     Classic,
@@ -59,7 +58,7 @@ impl MutationStrategy {
 /// that cannot win stop accumulating error early, and duplicate/neutral
 /// mutants are answered from the per-generation memo instead of being
 /// re-evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalEngine {
     /// No early-exit bound and no incumbent shortcut: every candidate's MAE
     /// accumulates to the last pixel.  Kept as the equivalence oracle.  Note
@@ -73,7 +72,7 @@ pub enum EvalEngine {
 }
 
 /// Configuration of one evolution run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EsConfig {
     /// Offspring per generation (λ); the paper uses 9.
     pub offspring: usize,
@@ -179,7 +178,7 @@ impl GenerationObserver for NullObserver {
 }
 
 /// Result of one evolution run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvolutionResult {
     /// Best genotype found.
     pub best_genotype: Genotype,

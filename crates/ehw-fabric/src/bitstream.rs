@@ -8,8 +8,6 @@
 //! column than the one it was generated for.
 
 use crate::frame::{Frame, FrameAddress};
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// A partial bitstream: an ordered list of frames anchored at a base address.
 ///
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// base.minor + i }`.  Relocation rewrites `region`/`major` while keeping the
 /// frame payload and minor offsets, which is exactly what the reconfiguration
 /// engine's readback/relocation/writeback feature does.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialBitstream {
     /// Human-readable name (e.g. the PE function this PBS implements).
     pub name: String,
@@ -109,12 +107,12 @@ impl PartialBitstream {
 
     /// Serializes the payload (without addresses) into a contiguous byte
     /// buffer, as it would be stored in the external DDR memory.
-    pub fn payload_bytes(&self) -> Bytes {
+    pub fn payload_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.byte_len());
         for f in &self.frames {
             buf.extend_from_slice(f.as_bytes());
         }
-        Bytes::from(buf)
+        buf
     }
 
     /// Rebuilds a bitstream from a payload previously produced by

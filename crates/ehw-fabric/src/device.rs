@@ -13,8 +13,6 @@
 //! containing a grid of CLBs organised in columns — but it carries exactly the
 //! quantities that the resource and timing models need.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of CLB rows in one Virtex-5 clock region.
 pub const CLBS_PER_REGION_HEIGHT: usize = 20;
 
@@ -31,7 +29,7 @@ pub const ARRAY_CLB_COLS: usize = 8;
 pub const ARRAY_CLBS: usize = ARRAY_CLB_COLS * CLBS_PER_REGION_HEIGHT;
 
 /// Static geometric description of a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceGeometry {
     /// Number of clock regions stacked vertically.
     pub clock_regions: usize,
@@ -87,7 +85,7 @@ impl DeviceGeometry {
 /// A device: geometry plus an identifier.  The configuration memory itself is
 /// modelled separately in [`crate::frame::ConfigMemory`]; `Device` ties the
 /// two together for floorplanning.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     /// Human-readable device name.
     pub name: String,

@@ -18,10 +18,9 @@
 
 use crate::frame::{ConfigMemory, FrameAddress, FRAME_BYTES};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The two configuration-memory fault classes from §II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Single Event Upset: transient bit-flip, repaired by scrubbing.
     Seu,
@@ -37,7 +36,7 @@ impl FaultKind {
 }
 
 /// Record of a single injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRecord {
     /// Frame that was corrupted.
     pub addr: FrameAddress,

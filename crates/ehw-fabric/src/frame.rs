@@ -14,7 +14,6 @@
 //! self-healing experiments distinguish transient from permanent faults.
 
 use crate::fault::{FaultKind, FaultRecord};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -32,7 +31,7 @@ pub const FRAME_BYTES: usize = 164;
 /// (block/top/row/major/minor) scheme that preserves the structure the
 /// reconfiguration engine needs for relocation (changing `region` moves a
 /// frame vertically; changing `major` moves it horizontally).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FrameAddress {
     /// Clock region row.
     pub region: u16,
@@ -71,7 +70,7 @@ impl fmt::Display for FrameAddress {
 }
 
 /// One configuration frame: a fixed-size block of configuration bits.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Frame {
     data: Vec<u8>,
 }

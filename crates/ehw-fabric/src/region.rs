@@ -13,7 +13,6 @@
 
 use crate::device::{DeviceGeometry, PE_CLB_COLS};
 use crate::frame::FrameAddress;
-use serde::{Deserialize, Serialize};
 
 /// Number of configuration frames modelled per PE slot.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 pub const FRAMES_PER_PE: usize = 4;
 
 /// Identifies one PE slot within the multi-array platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeSlot {
     /// Index of the array (Array Control Block) the PE belongs to.
     pub array: usize,
@@ -41,7 +40,7 @@ impl PeSlot {
 }
 
 /// A reconfigurable region: the frames belonging to one PE slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconfigurableRegion {
     /// The PE slot this region hosts.
     pub slot: PeSlot,
@@ -75,7 +74,7 @@ impl ReconfigurableRegion {
 /// Floorplan of a multi-array platform: a grid of PE regions per array, laid
 /// out according to the paper's Fig. 10 (arrays stacked vertically, one clock
 /// region each).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Floorplan {
     geometry: DeviceGeometry,
     arrays: usize,

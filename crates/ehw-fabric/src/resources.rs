@@ -13,12 +13,11 @@
 //! arbitrary number of arrays, which is what the `resources` experiment binary
 //! prints alongside the paper's values.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
 /// Slice / flip-flop / LUT counts for a block of logic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceUsage {
     /// Occupied slices.
     pub slices: u32,

@@ -13,11 +13,9 @@
 //! the per-fault transient/permanent classification — a scenario says *where
 //! and when*, the kind says *what scrubbing can do about it*.
 
-use serde::{Deserialize, Serialize};
-
 /// Spatial correlation pattern of a [`ScenarioKind::Correlated`] scenario —
 /// which PEs fail together in one event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CorrelationShape {
     /// Every PE of one row fails together (a horizontal routing/clock spine).
     Row,
@@ -41,7 +39,7 @@ impl CorrelationShape {
 
 /// One phase of a [`ScenarioKind::Storm`]: `ticks` time steps during which
 /// each targeted PE fails independently with probability `rate` per tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormPhase {
     /// Number of time steps this phase lasts (must be at least 1).
     pub ticks: usize,
@@ -55,7 +53,7 @@ pub struct StormPhase {
 /// `(tick, faults)` events by the layer that owns the PE floorplan, with all
 /// randomness drawn from seed streams forked off the job seed so any worker
 /// count replays the schedule byte-identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioKind {
     /// The classic systematic sweep: one permanent dummy-PE fault per event,
     /// visiting every targeted position exactly once.

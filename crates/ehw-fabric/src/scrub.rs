@@ -8,11 +8,10 @@
 //! launched.
 
 use crate::frame::{ConfigMemory, Frame, FrameAddress};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Outcome of scrubbing one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameScrubOutcome {
     /// The frame matched its golden copy; nothing was rewritten.
     Clean,
@@ -24,7 +23,7 @@ pub enum FrameScrubOutcome {
 }
 
 /// Aggregate report of one scrubbing pass.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Frames that matched the golden copy.
     pub clean: usize,

@@ -13,10 +13,9 @@
 
 use crate::image::GrayImage;
 use crate::window::{Window3x3, WindowPlanes};
-use serde::{Deserialize, Serialize};
 
 /// Identifies one of the built-in reference filters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReferenceFilter {
     /// 3×3 median filter — the conventional salt & pepper remover.
     Median,

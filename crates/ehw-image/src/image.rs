@@ -6,7 +6,6 @@
 //! the top-left corner, exactly like the frame buffers the hardware DMA feeds
 //! into the array.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An 8-bit grayscale image stored in row-major order.
@@ -14,7 +13,7 @@ use std::fmt;
 /// The image dimensions are fixed at construction time.  All accessors are
 /// bounds-checked in debug builds; [`GrayImage::get`] additionally offers a
 /// checked access that returns `None` outside the image.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct GrayImage {
     width: usize,
     height: usize,

@@ -14,10 +14,9 @@
 
 use crate::image::GrayImage;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Description of a noise process that can corrupt a clean image.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NoiseModel {
     /// Salt & pepper impulse noise: each pixel is independently replaced by 0
     /// or 255 (with equal probability) with probability `density`.
@@ -151,7 +150,7 @@ pub fn corruption_ratio(clean: &GrayImage, noisy: &GrayImage) -> f64 {
 /// another salt & pepper job, but not for a Gaussian one.  The class is a
 /// deterministic pure function of the two images, so equal training pairs
 /// always land in the same library bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NoiseClass {
     /// Input and reference are (nearly) identical — an identity workload.
     Clean,

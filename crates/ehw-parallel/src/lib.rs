@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::sync::OnceLock;
@@ -74,7 +73,7 @@ impl std::error::Error for EnvConfigError {}
 /// The configuration only affects *scheduling*; results are merged in item
 /// order, so any two configurations produce identical output for the same
 /// input (the cross-thread determinism suite in `tests/` enforces this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     /// Number of worker threads (0 is normalised to 1; 1 runs inline on the
     /// calling thread with no spawning at all).

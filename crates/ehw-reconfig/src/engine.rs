@@ -24,11 +24,10 @@ use ehw_fabric::fault::{FaultKind, FaultRecord};
 use ehw_fabric::frame::{ConfigMemory, FrameAddress, FRAME_BYTES};
 use ehw_fabric::region::{PeSlot, ReconfigurableRegion};
 use ehw_fabric::scrub::{ScrubReport, Scrubber};
-use serde::{Deserialize, Serialize};
 
 /// A pending reconfiguration request: configure `slot` with PE function
 /// `gene` (or with the dummy fault PE when `gene` is `None`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconfigRequest {
     /// Target PE slot.
     pub slot: PeSlot,
@@ -37,7 +36,7 @@ pub struct ReconfigRequest {
 }
 
 /// Counters accumulated by the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReconfigStats {
     /// Number of PE reconfigurations performed.
     pub pe_reconfigurations: u64,

@@ -13,7 +13,6 @@
 use crate::timing::pe_frames;
 use ehw_fabric::bitstream::PartialBitstream;
 use ehw_fabric::frame::FrameAddress;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Number of presynthesized PE variants (one per 4-bit gene value).
@@ -115,7 +114,7 @@ impl Default for PbsLibrary {
 /// (by content hash), fight the same noise class and run on the same array
 /// shape — exactly the conditions under which a previously evolved champion
 /// is a plausible warm start instead of a random initial parent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChampionKey {
     /// Content hash of the training (input) image.
     pub image_hash: u64,
@@ -130,7 +129,7 @@ pub struct ChampionKey {
 /// Genotypes are stored as their compact byte encoding — the same bytes the
 /// MicroBlaze would hold in DDR next to the PBS library — so this crate stays
 /// independent of the array crate and snapshots are trivially serializable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Champion {
     /// `Genotype::encode()` bytes of the champion.
     pub genotype: Vec<u8>,

@@ -19,7 +19,6 @@
 //! published curves, and so ablation benches can sweep e.g. the ICAP clock.
 
 use ehw_fabric::region::FRAMES_PER_PE;
-use serde::{Deserialize, Serialize};
 
 /// Nominal ICAP clock frequency used in the paper (Hz).
 pub const ICAP_CLOCK_HZ: f64 = 100_000_000.0;
@@ -37,7 +36,7 @@ pub fn pe_frames() -> usize {
 }
 
 /// Timing constants for the evolution-time model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Reconfiguration time for one PE, in seconds.
     pub pe_reconfig_s: f64,

@@ -1,8 +1,7 @@
 //! A small, explicit JSON layer.
 //!
-//! The workspace's vendored `serde` derives are deliberate no-ops (the build
-//! environment has no crates.io access), so the wire protocol cannot lean on
-//! `#[derive(Serialize)]`.  Instead this module carries a complete but
+//! The build environment has no crates.io access, so the wire protocol has
+//! no JSON crate to lean on.  Instead this module carries a complete but
 //! minimal JSON value model, parser and writer — everything the job server
 //! needs and nothing more.
 //!
@@ -15,6 +14,10 @@
 //!   `u64`s; funnelling them through `f64` would silently corrupt anything
 //!   above 2⁵³.  [`Number`] keeps the integer/float distinction the way the
 //!   source text spelled it.
+//!
+//! The parser recurses once per array/object level, so nesting is capped at
+//! [`MAX_DEPTH`]: a deeper document is a [`ParseError`], never a stack
+//! overflow.
 
 use std::fmt::Write as _;
 
@@ -222,11 +225,18 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts.  Far above what any
+/// spec, registry or champion file uses, and far below what overflows the
+/// stack of the thread that parses it.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -240,6 +250,8 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -280,8 +292,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -512,6 +535,18 @@ mod tests {
         assert_eq!(parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
         assert_eq!(parse("\"\\ud83d\\ude00\"").unwrap().as_str(), Some("😀"));
         assert!(parse("\"\\ud83d\"").is_err(), "lone surrogate rejected");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far past the cap the parser still stops at the cap, so a
+        // megabyte of openers is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

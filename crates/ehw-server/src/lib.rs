@@ -2,9 +2,8 @@
 //!
 //! A minimal network front-end for [`ehw_service::EhwService`]: plain
 //! HTTP/1.1 + JSON on a [`std::net::TcpListener`], hand-rolled end to end
-//! because the build environment vendors its dependencies (the vendored
-//! `serde` derives are no-ops, so [`json`] and [`wire`] carry an explicit
-//! codec instead).
+//! because the build environment has no crates.io access: [`json`] and
+//! [`wire`] carry an explicit codec.
 //!
 //! ## Endpoints
 //!
@@ -58,10 +57,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ehw_service::{EhwService, JobHandle, JobMonitor, JobResult, ScenarioRegistry};
+use ehw_service::{EhwService, JobHandle, JobMonitor, JobResult, ScenarioRegistry, ServiceStats};
 
 use http::{read_request, write_response, write_stream_head, Request, RequestError};
-use json::{f64v, strv, u64v, usizev, Value};
+use json::{f64v, strv, u64v, Value};
 use wire::{encode_error, encode_event, encode_result};
 
 /// Latency histogram bucket bounds, in milliseconds (log₂ spaced, the last
@@ -742,8 +741,167 @@ fn handle_events(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
     }
 }
 
+/// The scalar readings of one `/metrics` scrape, taken once so both
+/// renderings report the same numbers.
+struct MetricsSnapshot {
+    stats: ServiceStats,
+    queue_depth: usize,
+    alive_shards: usize,
+    uptime_s: f64,
+    job_ttl_s: f64,
+    evicted: u64,
+}
+
+/// One scalar reading: a count or a real number.
+#[derive(Clone, Copy)]
+enum Reading {
+    Count(u64),
+    Real(f64),
+}
+
+impl Reading {
+    fn json(self) -> Value {
+        match self {
+            Reading::Count(n) => u64v(n),
+            Reading::Real(f) => f64v(f),
+        }
+    }
+}
+
+impl std::fmt::Display for Reading {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Reading::Count(n) => write!(f, "{n}"),
+            Reading::Real(x) => write!(f, "{x}"),
+        }
+    }
+}
+
+/// One scalar `/metrics` counter, described once: where it sits in the JSON
+/// document and how the Prometheus exposition names and explains it.
+pub struct MetricCounter {
+    /// JSON section holding the counter (`""` = the document's top level).
+    pub section: &'static str,
+    /// Key of the counter inside its JSON section.
+    pub key: &'static str,
+    /// Prometheus metric name.
+    pub prometheus: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    read: fn(&MetricsSnapshot) -> Reading,
+}
+
+const fn counter(
+    section: &'static str,
+    key: &'static str,
+    prometheus: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    read: fn(&MetricsSnapshot) -> Reading,
+) -> MetricCounter {
+    MetricCounter {
+        section,
+        key,
+        prometheus,
+        kind,
+        help,
+        read,
+    }
+}
+
+/// Every scalar counter `/metrics` exports, in JSON document order.  Both
+/// renderings iterate this table; the per-state job tally, the latency
+/// histograms and the per-shard liveness array are the only JSON members
+/// outside it.
+#[rustfmt::skip]
+pub const METRIC_COUNTERS: &[MetricCounter] = &[
+    counter("", "queue_depth", "ehw_queue_depth", "gauge",
+            "Jobs waiting in the service queue.",
+            |s| Reading::Count(s.queue_depth as u64)),
+    counter("service", "submitted", "ehw_jobs_submitted_total", "counter",
+            "Jobs accepted by the service.",
+            |s| Reading::Count(s.stats.submitted)),
+    counter("service", "completed", "ehw_jobs_completed_total", "counter",
+            "Jobs that settled successfully.",
+            |s| Reading::Count(s.stats.completed)),
+    counter("service", "failed", "ehw_jobs_failed_total", "counter",
+            "Jobs that settled with a failure.",
+            |s| Reading::Count(s.stats.failed)),
+    counter("service", "cancelled", "ehw_jobs_cancelled_total", "counter",
+            "Jobs cancelled before completion.",
+            |s| Reading::Count(s.stats.cancelled)),
+    counter("service", "lost", "ehw_jobs_lost_total", "counter",
+            "Jobs lost to shard death.",
+            |s| Reading::Count(s.stats.lost)),
+    counter("throughput", "uptime_s", "ehw_uptime_seconds", "gauge",
+            "Seconds since the server started.",
+            |s| Reading::Real(s.uptime_s)),
+    counter("throughput", "jobs_per_sec", "ehw_jobs_per_second", "gauge",
+            "Settled jobs per second of uptime.",
+            |s| Reading::Real((s.stats.completed + s.stats.failed + s.stats.cancelled) as f64 / s.uptime_s)),
+    counter("shards", "alive_count", "ehw_shards_alive", "gauge",
+            "Shard threads currently alive.",
+            |s| Reading::Count(s.alive_shards as u64)),
+    counter("cache", "windows_hits", "ehw_cache_windows_hits_total", "counter",
+            "Shared-window extractions served from the cross-job cache.",
+            |s| Reading::Count(s.stats.cache.windows_hits)),
+    counter("cache", "windows_misses", "ehw_cache_windows_misses_total", "counter",
+            "Shared-window extractions computed fresh.",
+            |s| Reading::Count(s.stats.cache.windows_misses)),
+    counter("cache", "fitness_hits", "ehw_cache_fitness_hits_total", "counter",
+            "Fitness evaluations served from the cross-job cache.",
+            |s| Reading::Count(s.stats.cache.fitness_hits)),
+    counter("cache", "fitness_misses", "ehw_cache_fitness_misses_total", "counter",
+            "Fitness evaluations the cache could not answer.",
+            |s| Reading::Count(s.stats.cache.fitness_misses)),
+    counter("cache", "fitness_insertions", "ehw_cache_fitness_insertions_total", "counter",
+            "Exact fitness values inserted into the cross-job cache.",
+            |s| Reading::Count(s.stats.cache.fitness_insertions)),
+    counter("cache", "fitness_evictions", "ehw_cache_fitness_evictions_total", "counter",
+            "Fitness entries evicted under capacity pressure.",
+            |s| Reading::Count(s.stats.cache.fitness_evictions)),
+    counter("cache", "fitness_hit_rate", "ehw_cache_fitness_hit_rate", "gauge",
+            "Share of fitness lookups served from the cross-job cache.",
+            |s| Reading::Real(s.stats.cache.fitness_hit_rate())),
+    counter("cache", "warm_starts", "ehw_cache_warm_starts_total", "counter",
+            "Evolution jobs seeded from the champion library.",
+            |s| Reading::Count(s.stats.cache.warm_starts)),
+    counter("cache", "champions_deposited", "ehw_cache_champions_deposited_total", "counter",
+            "Champion genotypes deposited into the library.",
+            |s| Reading::Count(s.stats.cache.champions_deposited)),
+    counter("retention", "job_ttl_s", "ehw_job_ttl_seconds", "gauge",
+            "How long settled jobs stay in the registry.",
+            |s| Reading::Real(s.job_ttl_s)),
+    counter("retention", "jobs_evicted", "ehw_jobs_evicted_total", "counter",
+            "Settled jobs evicted from the registry by the TTL reaper.",
+            |s| Reading::Count(s.evicted)),
+];
+
 fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request, close: bool) {
     state.poll_all();
+
+    let snapshot = MetricsSnapshot {
+        stats: state.service.stats(),
+        queue_depth: state.service.queue_depth(),
+        alive_shards: state.service.alive_shards(),
+        uptime_s: state.started_at.elapsed().as_secs_f64().max(1e-9),
+        job_ttl_s: state.job_ttl.as_secs_f64(),
+        evicted: state.evicted.load(Ordering::Relaxed),
+    };
+    let mut by_state: [(&str, u64); 6] = [
+        ("queued", 0),
+        ("running", 0),
+        ("done", 0),
+        ("failed", 0),
+        ("cancelled", 0),
+        ("lost", 0),
+    ];
+    for job in state.jobs.lock().expect("job registry lock").values() {
+        let status = job.status();
+        if let Some(slot) = by_state.iter_mut().find(|(name, _)| *name == status) {
+            slot.1 += 1;
+        }
+    }
 
     // Content negotiation: Prometheus text exposition when the query string
     // or the Accept header asks for plain text, JSON otherwise.
@@ -753,7 +911,7 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
         .any(|pair| pair == "format=prometheus")
         || request.accept.contains("text/plain");
     if wants_prometheus {
-        let body = prometheus_metrics(state);
+        let body = prometheus_metrics(&snapshot, &by_state);
         let _ = write_response(
             stream,
             200,
@@ -764,28 +922,13 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
         return;
     }
 
-    let mut by_state: Vec<(&'static str, u64)> = vec![
-        ("queued", 0),
-        ("running", 0),
-        ("done", 0),
-        ("failed", 0),
-        ("cancelled", 0),
-        ("lost", 0),
-    ];
-    {
-        let jobs = state.jobs.lock().expect("job registry lock");
-        for job in jobs.values() {
-            let status = job.status();
-            if let Some(slot) = by_state.iter_mut().find(|(name, _)| *name == status) {
-                slot.1 += 1;
-            }
-        }
-    }
-
-    let stats = state.service.stats();
-    let elapsed = state.started_at.elapsed().as_secs_f64().max(1e-9);
-    let liveness = state.service.shard_liveness();
-
+    let section = |name: &str| -> Vec<(String, Value)> {
+        METRIC_COUNTERS
+            .iter()
+            .filter(|c| c.section == name)
+            .map(|c| (c.key.to_string(), (c.read)(&snapshot).json()))
+            .collect()
+    };
     let latency = {
         let latencies = state.latencies.lock().expect("latency lock");
         let mut kinds: Vec<&&'static str> = latencies.keys().collect();
@@ -797,110 +940,39 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
                 .collect(),
         )
     };
+    let liveness = state.service.shard_liveness();
+    let mut shards = vec![(
+        "alive".to_string(),
+        Value::Array(liveness.iter().map(|&a| Value::Bool(a)).collect()),
+    )];
+    shards.extend(section("shards"));
+    let jobs = by_state
+        .iter()
+        .map(|&(name, count)| (name.to_string(), u64v(count)))
+        .collect();
 
-    let doc = Value::object(vec![
-        ("queue_depth", usizev(state.service.queue_depth())),
-        (
-            "jobs",
-            Value::Object(
-                by_state
-                    .into_iter()
-                    .map(|(name, count)| (name.to_string(), u64v(count)))
-                    .collect(),
-            ),
-        ),
-        (
-            "service",
-            Value::object(vec![
-                ("submitted", u64v(stats.submitted)),
-                ("completed", u64v(stats.completed)),
-                ("failed", u64v(stats.failed)),
-                ("cancelled", u64v(stats.cancelled)),
-                ("lost", u64v(stats.lost)),
-            ]),
-        ),
-        (
-            "throughput",
-            Value::object(vec![
-                ("uptime_s", f64v(elapsed)),
-                (
-                    "jobs_per_sec",
-                    f64v((stats.completed + stats.failed + stats.cancelled) as f64 / elapsed),
-                ),
-            ]),
-        ),
-        ("latency_ms", latency),
-        (
-            "shards",
-            Value::object(vec![
-                (
-                    "alive",
-                    Value::Array(liveness.iter().map(|&a| Value::Bool(a)).collect()),
-                ),
-                ("alive_count", usizev(state.service.alive_shards())),
-            ]),
-        ),
-        (
-            "cache",
-            Value::object(vec![
-                ("windows_hits", u64v(stats.cache.windows_hits)),
-                ("windows_misses", u64v(stats.cache.windows_misses)),
-                ("fitness_hits", u64v(stats.cache.fitness_hits)),
-                ("fitness_misses", u64v(stats.cache.fitness_misses)),
-                ("fitness_insertions", u64v(stats.cache.fitness_insertions)),
-                ("fitness_evictions", u64v(stats.cache.fitness_evictions)),
-                ("fitness_hit_rate", f64v(stats.cache.fitness_hit_rate())),
-                ("warm_starts", u64v(stats.cache.warm_starts)),
-                ("champions_deposited", u64v(stats.cache.champions_deposited)),
-            ]),
-        ),
-        (
-            "retention",
-            Value::object(vec![
-                ("job_ttl_s", f64v(state.job_ttl.as_secs_f64())),
-                ("jobs_evicted", u64v(state.evicted.load(Ordering::Relaxed))),
-            ]),
-        ),
-    ]);
-    respond_json(stream, 200, &doc, close);
+    let mut doc = section("");
+    doc.push(("jobs".to_string(), Value::Object(jobs)));
+    for name in ["service", "throughput"] {
+        doc.push((name.to_string(), Value::Object(section(name))));
+    }
+    doc.push(("latency_ms".to_string(), latency));
+    doc.push(("shards".to_string(), Value::Object(shards)));
+    for name in ["cache", "retention"] {
+        doc.push((name.to_string(), Value::Object(section(name))));
+    }
+    respond_json(stream, 200, &Value::Object(doc), close);
 }
 
-/// Renders the counters `/metrics` exports in the Prometheus text exposition
-/// format (version 0.0.4): `# HELP` / `# TYPE` preamble, one sample per
-/// line, labels only on the per-state job gauge.
-fn prometheus_metrics(state: &ServerState) -> String {
-    fn metric(out: &mut String, name: &str, kind: &str, help: &str, value: impl std::fmt::Display) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {value}");
-    }
-
-    let stats = state.service.stats();
+/// Renders [`METRIC_COUNTERS`] and the per-state job gauge in the Prometheus
+/// text exposition format (version 0.0.4): `# HELP` / `# TYPE` preamble, one
+/// sample per line, labels only on the per-state job gauge.
+fn prometheus_metrics(snapshot: &MetricsSnapshot, by_state: &[(&str, u64)]) -> String {
     let mut out = String::new();
-
-    metric(
-        &mut out,
-        "ehw_queue_depth",
-        "gauge",
-        "Jobs waiting in the service queue.",
-        state.service.queue_depth(),
-    );
-    let mut by_state: Vec<(&'static str, u64)> = vec![
-        ("queued", 0),
-        ("running", 0),
-        ("done", 0),
-        ("failed", 0),
-        ("cancelled", 0),
-        ("lost", 0),
-    ];
-    {
-        let jobs = state.jobs.lock().expect("job registry lock");
-        for job in jobs.values() {
-            let status = job.status();
-            if let Some(slot) = by_state.iter_mut().find(|(name, _)| *name == status) {
-                slot.1 += 1;
-            }
-        }
+    for c in METRIC_COUNTERS {
+        let _ = writeln!(out, "# HELP {} {}", c.prometheus, c.help);
+        let _ = writeln!(out, "# TYPE {} {}", c.prometheus, c.kind);
+        let _ = writeln!(out, "{} {}", c.prometheus, (c.read)(snapshot));
     }
     let _ = writeln!(
         out,
@@ -910,120 +982,6 @@ fn prometheus_metrics(state: &ServerState) -> String {
     for (name, count) in by_state {
         let _ = writeln!(out, "ehw_jobs{{state=\"{name}\"}} {count}");
     }
-
-    metric(
-        &mut out,
-        "ehw_jobs_submitted_total",
-        "counter",
-        "Jobs accepted by the service.",
-        stats.submitted,
-    );
-    metric(
-        &mut out,
-        "ehw_jobs_completed_total",
-        "counter",
-        "Jobs that settled successfully.",
-        stats.completed,
-    );
-    metric(
-        &mut out,
-        "ehw_jobs_failed_total",
-        "counter",
-        "Jobs that settled with a failure.",
-        stats.failed,
-    );
-    metric(
-        &mut out,
-        "ehw_jobs_cancelled_total",
-        "counter",
-        "Jobs cancelled before completion.",
-        stats.cancelled,
-    );
-    metric(
-        &mut out,
-        "ehw_jobs_lost_total",
-        "counter",
-        "Jobs lost to shard death.",
-        stats.lost,
-    );
-    metric(
-        &mut out,
-        "ehw_jobs_evicted_total",
-        "counter",
-        "Settled jobs evicted from the registry by the TTL reaper.",
-        state.evicted.load(Ordering::Relaxed),
-    );
-    metric(
-        &mut out,
-        "ehw_shards_alive",
-        "gauge",
-        "Shard threads currently alive.",
-        state.service.alive_shards(),
-    );
-    metric(
-        &mut out,
-        "ehw_uptime_seconds",
-        "gauge",
-        "Seconds since the server started.",
-        state.started_at.elapsed().as_secs_f64(),
-    );
-
-    metric(
-        &mut out,
-        "ehw_cache_windows_hits_total",
-        "counter",
-        "Shared-window extractions served from the cross-job cache.",
-        stats.cache.windows_hits,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_windows_misses_total",
-        "counter",
-        "Shared-window extractions computed fresh.",
-        stats.cache.windows_misses,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_fitness_hits_total",
-        "counter",
-        "Fitness evaluations served from the cross-job cache.",
-        stats.cache.fitness_hits,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_fitness_misses_total",
-        "counter",
-        "Fitness evaluations the cache could not answer.",
-        stats.cache.fitness_misses,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_fitness_insertions_total",
-        "counter",
-        "Exact fitness values inserted into the cross-job cache.",
-        stats.cache.fitness_insertions,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_fitness_evictions_total",
-        "counter",
-        "Fitness entries evicted under capacity pressure.",
-        stats.cache.fitness_evictions,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_warm_starts_total",
-        "counter",
-        "Evolution jobs seeded from the champion library.",
-        stats.cache.warm_starts,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_champions_deposited_total",
-        "counter",
-        "Champion genotypes deposited into the library.",
-        stats.cache.champions_deposited,
-    );
     out
 }
 

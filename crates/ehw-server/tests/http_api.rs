@@ -386,6 +386,24 @@ fn oversized_bodies_get_413() {
 }
 
 #[test]
+fn deeply_nested_bodies_get_400_and_the_server_keeps_serving() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    // A megabyte of array openers: within the body cap, but nested far past
+    // the parser's depth limit.  Parsed without that limit, each level
+    // recurses once and overflows the connection thread's stack, which
+    // aborts the whole process.
+    let body = "[".repeat(1_000_000);
+    let response = request(addr, "POST", "/jobs", Some(&body));
+    assert_eq!(response.status, 400);
+    assert!(response.body.contains("nesting"), "{}", response.body);
+
+    // A fresh connection still gets answers.
+    assert_eq!(get(addr, "/metrics").status, 200);
+}
+
+#[test]
 fn metrics_reflect_a_failed_job() {
     // Wire specs go through the validating builders, so a failure has to be
     // provoked below the builder layer: the doomed spec helper builds a spec
@@ -544,6 +562,29 @@ fn metrics_speak_prometheus_when_asked() {
     let cache = metrics.get("cache").unwrap();
     assert!(cache.get("fitness_hits").unwrap().as_u64().is_some());
     assert!(cache.get("fitness_hit_rate").unwrap().as_f64().is_some());
+
+    // Every counter of the shared table appears in both renderings.
+    let prometheus = get(addr, "/metrics?format=prometheus").body;
+    for counter in ehw_server::METRIC_COUNTERS {
+        let section = match counter.section {
+            "" => &metrics,
+            name => metrics.get(name).unwrap(),
+        };
+        assert!(
+            section.get(counter.key).unwrap().as_f64().is_some(),
+            "JSON /metrics lacks {}.{}",
+            counter.section,
+            counter.key
+        );
+        let sample = prometheus
+            .lines()
+            .find_map(|line| line.strip_prefix(&format!("{} ", counter.prometheus)));
+        assert!(
+            sample.is_some_and(|value| value.parse::<f64>().is_ok()),
+            "Prometheus /metrics lacks a {} sample",
+            counter.prometheus
+        );
+    }
 }
 
 #[test]

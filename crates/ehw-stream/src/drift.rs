@@ -21,11 +21,10 @@
 //! after each fire so one shift cannot trigger a burst of adaptations while
 //! the window still straddles the transition.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Configuration of a [`DriftDetector`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriftConfig {
     /// Calibration window length in frames (must be positive).
     pub window: usize,

@@ -30,7 +30,6 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use rand::SeedSequence;
-use serde::{Deserialize, Serialize};
 
 use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
@@ -52,7 +51,7 @@ const LANE_ADAPT: u64 = 2;
 
 /// Budget of one adaptation (and of the bootstrap evolution when the stream
 /// starts without a trained genotype).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptationConfig {
     /// Offspring per generation (λ).
     pub offspring: usize,
@@ -82,7 +81,7 @@ impl Default for AdaptationConfig {
 }
 
 /// Configuration of one stream run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Stream seed; root of every engine seed lane.
     pub seed: u64,
@@ -133,7 +132,7 @@ pub enum StreamEvent {
 }
 
 /// Fitness accounting for one stretch of frames between applied adaptations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentReport {
     /// First frame of the segment.
     pub start_frame: usize,
@@ -154,7 +153,7 @@ impl SegmentReport {
 }
 
 /// Summary of a finished (or cancelled) stream run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamReport {
     /// Frames processed.
     pub frames: usize,

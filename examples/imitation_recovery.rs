@@ -15,8 +15,9 @@ use ehw_evolution::strategy::{EsConfig, NullObserver};
 use ehw_fabric::fault::FaultKind;
 use ehw_image::noise::NoiseModel;
 use ehw_image::synth;
-use ehw_platform::evo_modes::{evolve_imitation, evolve_parallel, EvolutionTask, ImitationStart};
+use ehw_platform::evo_modes::{evolve_imitation, ImitationStart};
 use ehw_platform::fault_campaign::find_injectable_pe;
+use ehw_platform::jobs::{self, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,12 +31,17 @@ fn main() {
     let clean = synth::shapes(64, 64, 4);
     let mut rng = StdRng::seed_from_u64(3);
     let noisy = NoiseModel::SaltPepper { density: 0.3 }.apply(&clean, &mut rng);
-    let task = EvolutionTask::new(noisy.clone(), clean);
 
     // Initial evolution: both arrays get the same working filter.
+    let spec = JobSpec::evolution(noisy.clone(), clean)
+        .mutation_rate(3)
+        .num_arrays(2)
+        .generations(200)
+        .build()
+        .expect("valid evolution spec");
     let mut platform = EhwPlatform::new(2);
-    let config = EsConfig::paper(3, 2, 200, 11);
-    let (evolved, _) = evolve_parallel(&mut platform, &task, &config);
+    let job = jobs::execute(&mut platform, &spec, 11);
+    let (evolved, _) = job.as_evolution().expect("evolution job");
     println!("== Evolution by imitation after a permanent fault ==");
     println!("working filter fitness:          {}", evolved.best_fitness);
 

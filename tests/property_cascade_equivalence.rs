@@ -1,17 +1,18 @@
 //! Property suite pinning the compiled cascade engine to the naive oracle:
 //! for random fitness arrangement × schedule × initialisation × seed — on
 //! healthy and damaged platforms — a whole cascaded evolution run must be
-//! byte-identical between `CascadeEngine::Naive` and `CascadeEngine::Compiled`
-//! (stage genotypes, per-stage chain fitness and evaluation counts), and the
-//! compiled engine must be independent of the worker count (1, 2 and 8).
+//! byte-identical between `ehw_oracle::evolve_cascade_naive` and a
+//! `JobSpec::Cascade` run through `jobs::execute` (stage genotypes,
+//! per-stage chain fitness and evaluation counts), and the compiled engine
+//! must be independent of the worker count (1, 2 and 8).
 
 use ehw_fabric::fault::FaultKind;
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
+use ehw_oracle::{cascade_spec, evolve_cascade_naive};
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{
-    evolve_cascade, CascadeConfig, CascadeEngine, CascadeInit, CascadeResult, EvolutionTask,
-};
+use ehw_platform::evo_modes::{CascadeConfig, CascadeInit, CascadeResult, EvolutionTask};
+use ehw_platform::jobs;
 use ehw_platform::modes::{CascadeFitness, CascadeSchedule};
 use ehw_platform::platform::EhwPlatform;
 use proptest::prelude::*;
@@ -51,14 +52,24 @@ fn platform(workers: usize, faulty: bool) -> EhwPlatform {
     p
 }
 
+/// Runs `config` through the job path — the compiled engine.
+fn compiled(p: &mut EhwPlatform, task: &EvolutionTask, config: &CascadeConfig) -> CascadeResult {
+    let spec = cascade_spec(task, p.num_arrays(), config);
+    let job = jobs::execute(p, &spec, config.seed);
+    job.as_cascade().expect("cascade job").clone()
+}
+
 fn run(
     config: &CascadeConfig,
     task: &EvolutionTask,
     workers: usize,
     faulty: bool,
 ) -> CascadeResult {
-    let mut p = platform(workers, faulty);
-    evolve_cascade(&mut p, task, config)
+    compiled(&mut platform(workers, faulty), task, config)
+}
+
+fn run_naive(config: &CascadeConfig, task: &EvolutionTask, faulty: bool) -> CascadeResult {
+    evolve_cascade_naive(&mut platform(1, faulty), task, config)
 }
 
 proptest! {
@@ -81,12 +92,7 @@ proptest! {
             offspring: 5,
             ..CascadeConfig::paper(4, 2, seed)
         };
-        let naive = run(
-            &CascadeConfig { engine: CascadeEngine::Naive, ..config },
-            &task,
-            1,
-            faulty,
-        );
+        let naive = run_naive(&config, &task, faulty);
         let reference = run(&config, &task, 1, faulty);
         for workers in [1usize, 2, 8] {
             let compiled = run(&config, &task, workers, faulty);
@@ -122,13 +128,9 @@ proptest! {
             ..CascadeConfig::paper(3, 2, seed)
         };
         let mut naive_platform = platform(1, false);
-        let _ = evolve_cascade(
-            &mut naive_platform,
-            &task,
-            &CascadeConfig { engine: CascadeEngine::Naive, ..config },
-        );
+        let _ = evolve_cascade_naive(&mut naive_platform, &task, &config);
         let mut compiled_platform = platform(1, false);
-        let _ = evolve_cascade(&mut compiled_platform, &task, &config);
+        let _ = compiled(&mut compiled_platform, &task, &config);
         for i in 0..3 {
             prop_assert_eq!(
                 naive_platform.acb(i).genotype(),
@@ -140,5 +142,39 @@ proptest! {
             naive_platform.chain_fitness(&task.input, &task.reference),
             compiled_platform.chain_fitness(&task.input, &task.reference)
         );
+    }
+}
+
+#[test]
+fn compiled_and_naive_cascades_are_byte_identical() {
+    // Fixed-seed spot check across every fitness arrangement and schedule:
+    // same config and seed ⇒ identical genotypes, stage fitness and
+    // evaluation counts, and the compiled engine must actually have saved
+    // work.
+    let clean = synth::shapes(20, 20, 4);
+    let mut rng = StdRng::seed_from_u64(71);
+    let task = EvolutionTask::new(salt_pepper(&clean, 0.35, &mut rng), clean);
+    for fitness in [CascadeFitness::Separate, CascadeFitness::Merged] {
+        for schedule in [CascadeSchedule::Sequential, CascadeSchedule::Interleaved] {
+            let config = CascadeConfig {
+                fitness,
+                schedule,
+                ..CascadeConfig::paper(8, 2, 67)
+            };
+            let naive =
+                evolve_cascade_naive(&mut EhwPlatform::paper_three_arrays(), &task, &config);
+            let compiled = compiled(&mut EhwPlatform::paper_three_arrays(), &task, &config);
+            assert_eq!(
+                naive.stage_genotypes, compiled.stage_genotypes,
+                "{fitness:?}/{schedule:?}"
+            );
+            assert_eq!(naive.stage_fitness, compiled.stage_fitness);
+            assert_eq!(naive.evaluations, compiled.evaluations);
+            assert!(
+                compiled.stats.early_exits > 0 || compiled.stats.memo_hits > 0,
+                "engine saved nothing: {:?}",
+                compiled.stats
+            );
+        }
     }
 }

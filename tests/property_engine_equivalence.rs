@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use ehw_array::array::ProcessingArray;
-use ehw_array::compiled::{interpret_filter_image, interpret_window, CompiledArray};
+use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
 use ehw_array::pe::FaultBehaviour;
 use ehw_evolution::fitness::{plan_mae, plan_mae_bounded, SoftwareEvaluator};
@@ -15,6 +15,7 @@ use ehw_evolution::strategy::{run_evolution, EsConfig, EvalEngine, NullObserver}
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
 use ehw_image::window::{SharedWindows, Window3x3};
+use ehw_oracle::{interpret_filter_image, interpret_window};
 use ehw_parallel::ParallelConfig;
 use proptest::prelude::*;
 

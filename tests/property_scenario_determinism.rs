@@ -6,10 +6,7 @@
 //! interleaving, no global state.  These properties pin the two halves of
 //! that contract: the schedule itself is reproducible across compiles, and
 //! the campaign a schedule drives is byte-identical at 1, 2 and 8 workers
-//! for every scenario kind crossed with every recovery-policy ladder.  The
-//! legacy single-PE sweep is also pinned as exactly `SingleSweep` under the
-//! default policy, so PR-era call sites and the scenario layer can never
-//! drift apart silently.
+//! for every scenario kind crossed with every recovery-policy ladder.
 
 use ehw_array::genotype::Genotype;
 use ehw_evolution::fitness::EngineStats;
@@ -18,9 +15,8 @@ use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
 use ehw_parallel::ParallelConfig;
 use ehw_platform::evo_modes::EvolutionTask;
-use ehw_platform::fault_campaign::{
-    scenario_fault_campaign_with, systematic_fault_campaign_with, CampaignReport,
-};
+use ehw_platform::fault_campaign::CampaignReport;
+use ehw_platform::jobs::{self, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use ehw_platform::scenario::{FaultScenario, ResilienceReport, ScenarioKind, ScenarioRegistry};
 use ehw_platform::self_healing::RecoveryPolicy;
@@ -48,18 +44,17 @@ fn run_campaign(
         let mut rng = StdRng::seed_from_u64(seed);
         Genotype::random(&mut rng)
     };
-    let recovery = EsConfig::paper(1, 1, 2, seed);
-    let mut platform = EhwPlatform::new(2);
-    scenario_fault_campaign_with(
-        &mut platform,
-        &baseline,
-        &task,
-        &recovery,
-        &[0, 1],
-        scenario,
-        policy,
-        ParallelConfig::with_workers(workers),
-    )
+    let spec = JobSpec::fault_campaign(task.input, task.reference)
+        .baseline(baseline)
+        .arrays(vec![0, 1])
+        .recovery_config(EsConfig::paper(1, 1, 2, seed))
+        .scenario(scenario.clone())
+        .policy(policy.clone())
+        .build()
+        .expect("valid campaign spec");
+    let mut platform = EhwPlatform::with_parallel(2, ParallelConfig::with_workers(workers));
+    let job = jobs::execute(&mut platform, &spec, seed);
+    job.as_campaign().expect("campaign job").clone()
 }
 
 proptest! {
@@ -129,40 +124,6 @@ proptest! {
             prop_assert_eq!(&fold.entries, &folded[0].entries);
         }
         prop_assert_eq!(&folded[0].entries[0].scenario, &scenario.name);
-    }
-
-    // ------------------------------------------------------------------
-    // Legacy pinning: the historical sweep IS SingleSweep + default ladder
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn legacy_campaign_equals_single_sweep_under_the_default_policy(seed in any::<u64>()) {
-        let task = denoise_task(12, seed ^ 0x5EED);
-        let baseline = {
-            let mut rng = StdRng::seed_from_u64(seed);
-            Genotype::random(&mut rng)
-        };
-        let recovery = EsConfig::paper(1, 1, 2, seed);
-
-        let legacy = {
-            let mut platform = EhwPlatform::new(2);
-            systematic_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0, 1],
-                ParallelConfig::with_workers(2),
-            )
-        };
-        let scenario = run_campaign(
-            &FaultScenario::single_sweep(),
-            &RecoveryPolicy::default_ladder(),
-            seed,
-            2,
-        );
-        prop_assert_eq!(&legacy, &scenario);
-        prop_assert_eq!(legacy.len(), 32);
     }
 }
 
