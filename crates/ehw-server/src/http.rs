@@ -6,8 +6,9 @@
 //! in), the per-connection request budget runs out, or a streaming response
 //! takes over the socket.  That is exactly enough for the job API (and for
 //! `curl`), and it keeps the parser small enough to audit: the request line,
-//! headers until the blank line, then `Content-Length` bytes of body, with a
-//! hard size cap so a hostile client cannot balloon the server.
+//! at most [`MAX_HEADERS`] headers until the blank line, then
+//! `Content-Length` bytes of body, with a hard size cap so a hostile client
+//! cannot balloon the server.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -19,6 +20,11 @@ pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
 /// Largest single header line (and request line) the parser accepts.
 const MAX_LINE_BYTES: usize = 16 * 1024;
+
+/// Most header lines one request may carry.  Past it the request is
+/// malformed, so a client cannot hold a handler thread by streaming header
+/// lines forever.
+pub const MAX_HEADERS: usize = 100;
 
 /// Requests served over one connection before the server closes it anyway —
 /// a bound on how long a single client can monopolise a handler thread.
@@ -104,10 +110,17 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, Reques
     let mut content_length = 0usize;
     let mut accept = String::new();
     let mut connection = String::new();
+    let mut headers = 0usize;
     loop {
         let line = read_line(reader)?;
         if line.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(RequestError::Malformed(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(RequestError::Malformed(format!(
@@ -192,30 +205,72 @@ fn reason(status: u16) -> &'static str {
 /// Writes a complete response with a body.  `close` announces whether the
 /// server will end the connection after this exchange; with `close` false
 /// the connection stays open for the client's next request.
+///
+/// The head and the body leave in one `write_all`: written separately, the
+/// body would wait behind Nagle's algorithm for the client's delayed ACK of
+/// the head, stalling every keep-alive response by tens of milliseconds.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &[u8],
     close: bool,
 ) -> io::Result<()> {
     let connection = if close { "close" } else { "keep-alive" };
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         reason(status),
         body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    )
+    .into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 
 /// Writes the head of a streaming response (no `Content-Length`; the end of
 /// the body is signalled by closing the connection, which `Connection:
 /// close` already announces).
-pub fn write_stream_head(stream: &mut TcpStream, content_type: &str) -> io::Result<()> {
+pub fn write_stream_head(stream: &mut impl Write, content_type: &str) -> io::Result<()> {
     let head =
         format!("HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n");
     stream.write_all(head.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that keeps every `write` call as its own chunk.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_exactly_one_write() {
+        for body in [Vec::new(), vec![b'x'; 100 * 1024]] {
+            let mut writer = RecordingWriter::default();
+            write_response(&mut writer, 200, "application/json", &body, false).unwrap();
+            assert_eq!(writer.writes.len(), 1, "body of {} bytes", body.len());
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+                body.len()
+            );
+            assert_eq!(writer.writes[0], [head.as_bytes(), &body].concat());
+        }
+    }
 }

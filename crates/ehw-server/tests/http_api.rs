@@ -917,6 +917,59 @@ fn the_per_connection_request_budget_is_bounded() {
     assert_eq!(std::io::Read::read(&mut reader, &mut probe).unwrap(), 0);
 }
 
+#[test]
+fn keep_alive_responses_do_not_stall_on_delayed_acks() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    // A client with default socket options (Nagle on, no TCP_NODELAY) that
+    // sends each request in one write.  A response split into a head write
+    // and a body write stalls each keep-alive exchange after the first on
+    // the client's delayed ACK (about 40 ms on Linux), so 20 exchanges would
+    // take at least 19 × 40 ms = 760 ms.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+    let started = Instant::now();
+    for _ in 0..20 {
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let (status, _, body) = read_one_response(&mut reader);
+        assert_eq!(status, 200, "{body}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 keep-alive exchanges took {elapsed:?}"
+    );
+}
+
+#[test]
+fn an_endless_header_block_gets_400_and_the_server_keeps_serving() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    // Far more header lines than the cap, then a proper end of the head: a
+    // server without the cap would read them all and answer 200.
+    let mut raw = String::from("GET /metrics HTTP/1.1\r\nHost: t\r\n");
+    for i in 0..10_000 {
+        raw.push_str(&format!("X-Filler-{i}: {i}\r\n"));
+    }
+    raw.push_str("\r\n");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // The server answers and closes once the cap is passed, so the rest of
+    // the header block may meet a reset; only the response matters.
+    let _ = stream.write_all(raw.as_bytes());
+    let mut reader = std::io::BufReader::new(stream);
+    let (status, head, body) = read_one_response(&mut reader);
+    assert_eq!(status, 400, "{body}");
+    assert!(head.contains("Connection: close"), "{head}");
+    assert!(body.contains("header lines"), "{body}");
+
+    // A fresh connection still gets answers.
+    assert_eq!(get(addr, "/metrics").status, 200);
+}
+
 // ---------------------------------------------------------------------------
 // Streaming jobs over the wire
 // ---------------------------------------------------------------------------
