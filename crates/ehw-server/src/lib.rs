@@ -171,43 +171,9 @@ impl LatencyHistogram {
     }
 }
 
-/// Every tracked job, plus the ids of those still pending.  Both sit under
-/// one lock, so a poll visits only the pending jobs while settled ones wait
-/// out their TTL untouched.
-#[derive(Default)]
-struct JobTable {
-    tracked: HashMap<u64, TrackedJob>,
-    pending: Vec<u64>,
-}
-
-impl JobTable {
-    fn insert(&mut self, job_id: u64, job: TrackedJob) {
-        self.tracked.insert(job_id, job);
-        self.pending.push(job_id);
-    }
-
-    /// Polls every pending job once and returns the kind and latency of each
-    /// one this poll settled.
-    fn poll_pending(&mut self) -> Vec<(&'static str, Duration)> {
-        let mut settled = Vec::new();
-        let tracked = &mut self.tracked;
-        self.pending.retain(|job_id| {
-            let Some(job) = tracked.get_mut(job_id) else {
-                return false;
-            };
-            let Some(latency) = job.poll() else {
-                return true;
-            };
-            settled.push((job.kind, latency));
-            false
-        });
-        settled
-    }
-}
-
 struct ServerState {
     service: EhwService,
-    jobs: Mutex<JobTable>,
+    jobs: Mutex<HashMap<u64, TrackedJob>>,
     latencies: Mutex<HashMap<&'static str, LatencyHistogram>>,
     started_at: Instant,
     shutting_down: AtomicBool,
@@ -227,8 +193,15 @@ struct ServerState {
 impl ServerState {
     /// Polls every pending job once, recording settle latencies — keeps the
     /// registry's view current between reaper sweeps.
-    fn poll_pending(&self) {
-        let settled = self.jobs.lock().expect("job registry lock").poll_pending();
+    fn poll_all(&self) {
+        let mut jobs = self.jobs.lock().expect("job registry lock");
+        let mut settled = Vec::new();
+        for job in jobs.values_mut() {
+            if let Some(latency) = job.poll() {
+                settled.push((job.kind, latency));
+            }
+        }
+        drop(jobs);
         if !settled.is_empty() {
             let mut latencies = self.latencies.lock().expect("latency lock");
             for (kind, latency) in settled {
@@ -241,14 +214,14 @@ impl ServerState {
     /// jobs are never touched, however old: eviction only forgets results
     /// nobody fetched, it never abandons running work.
     fn sweep_expired(&self) {
-        self.poll_pending();
+        self.poll_all();
         let mut jobs = self.jobs.lock().expect("job registry lock");
-        let before = jobs.tracked.len();
-        jobs.tracked.retain(|_, job| match job.settled_at {
+        let before = jobs.len();
+        jobs.retain(|_, job| match job.settled_at {
             Some(at) => at.elapsed() < self.job_ttl,
             None => true,
         });
-        let evicted = (before - jobs.tracked.len()) as u64;
+        let evicted = (before - jobs.len()) as u64;
         drop(jobs);
         if evicted > 0 {
             self.evicted.fetch_add(evicted, Ordering::Relaxed);
@@ -377,7 +350,7 @@ impl EhwServer {
         let local_addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
             service,
-            jobs: Mutex::new(JobTable::default()),
+            jobs: Mutex::new(HashMap::new()),
             latencies: Mutex::new(HashMap::new()),
             started_at: Instant::now(),
             shutting_down: AtomicBool::new(false),
@@ -485,9 +458,6 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
 /// per-connection budget runs out, a streaming response takes over the
 /// socket, or a protocol error ends the session.
 fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
-    // Every response already leaves in one write; with Nagle off, a large
-    // response's short last segment never waits on the client's ACK either.
-    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -672,9 +642,9 @@ fn handle_submit(
 }
 
 fn handle_status(stream: &mut TcpStream, state: &ServerState, job_id: u64, close: bool) {
-    state.poll_pending();
+    state.poll_all();
     let jobs = state.jobs.lock().expect("job registry lock");
-    let Some(job) = jobs.tracked.get(&job_id) else {
+    let Some(job) = jobs.get(&job_id) else {
         drop(jobs);
         respond_json(
             stream,
@@ -701,9 +671,9 @@ fn handle_status(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
 }
 
 fn handle_cancel(stream: &mut TcpStream, state: &ServerState, job_id: u64, close: bool) {
-    state.poll_pending();
+    state.poll_all();
     let jobs = state.jobs.lock().expect("job registry lock");
-    let Some(job) = jobs.tracked.get(&job_id) else {
+    let Some(job) = jobs.get(&job_id) else {
         drop(jobs);
         respond_json(
             stream,
@@ -735,7 +705,7 @@ fn handle_cancel(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
 fn handle_events(stream: &mut TcpStream, state: &ServerState, job_id: u64, close: bool) -> bool {
     let monitor = {
         let jobs = state.jobs.lock().expect("job registry lock");
-        match jobs.tracked.get(&job_id) {
+        match jobs.get(&job_id) {
             Some(job) => job.monitor.clone(),
             None => {
                 drop(jobs);
@@ -755,16 +725,12 @@ fn handle_events(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
     let mut cursor = 0usize;
     loop {
         let (events, closed) = monitor.wait_events(cursor, EVENT_POLL);
-        // One write per batch, not per line: each write is a segment on the
-        // wire once Nagle is off.
-        let mut batch = String::new();
         for event in &events {
-            batch.push_str(&encode_event(cursor, event).to_json());
-            batch.push('\n');
+            let line = format!("{}\n", encode_event(cursor, event).to_json());
             cursor += 1;
-        }
-        if stream.write_all(batch.as_bytes()).is_err() {
-            return false; // client hung up mid-stream
+            if stream.write_all(line.as_bytes()).is_err() {
+                return false; // client hung up mid-stream
+            }
         }
         if stream.flush().is_err() {
             return false;
@@ -912,7 +878,7 @@ pub const METRIC_COUNTERS: &[MetricCounter] = &[
 ];
 
 fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request, close: bool) {
-    state.poll_pending();
+    state.poll_all();
 
     let snapshot = MetricsSnapshot {
         stats: state.service.stats(),
@@ -930,13 +896,7 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
         ("cancelled", 0),
         ("lost", 0),
     ];
-    for job in state
-        .jobs
-        .lock()
-        .expect("job registry lock")
-        .tracked
-        .values()
-    {
+    for job in state.jobs.lock().expect("job registry lock").values() {
         let status = job.status();
         if let Some(slot) = by_state.iter_mut().find(|(name, _)| *name == status) {
             slot.1 += 1;
