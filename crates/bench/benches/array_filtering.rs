@@ -1,41 +1,24 @@
-//! Criterion benches for the functional array model: per-window evaluation
-//! and whole-image filtering (sequential vs. row-parallel), the inner loop of
-//! every fitness evaluation in the workspace.
+//! Criterion benches for the functional array model: whole-image filtering
+//! (window extraction plus plan evaluation), the inner loop of every fitness
+//! evaluation in the workspace, and the plane-wise reference filters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ehw_array::array::ProcessingArray;
 use ehw_array::genotype::Genotype;
 use ehw_image::synth;
-use ehw_image::window::Window3x3;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-
-fn bench_window_evaluation(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let array = ProcessingArray::new(Genotype::random(&mut rng));
-    let window = Window3x3([10, 200, 30, 90, 128, 45, 250, 7, 66]);
-    c.bench_function("array/evaluate_window", |b| {
-        b.iter(|| black_box(array.evaluate_window(black_box(&window))))
-    });
-}
 
 fn bench_image_filtering(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let array = ProcessingArray::new(Genotype::random(&mut rng));
     let mut group = c.benchmark_group("array/filter_image");
-    // Row-parallel filtering follows the shared worker knob (EHW_WORKERS).
-    let workers = ehw_parallel::ParallelConfig::from_env().workers;
     for size in [64usize, 128, 256] {
         let img = synth::shapes(size, size, 5);
         group.bench_with_input(BenchmarkId::new("sequential", size), &img, |b, img| {
             b.iter(|| black_box(array.filter_image(img)))
         });
-        group.bench_with_input(
-            BenchmarkId::new(format!("parallel-{workers}"), size),
-            &img,
-            |b, img| b.iter(|| black_box(array.filter_image_parallel(img, workers))),
-        );
     }
     group.finish();
 }
@@ -55,10 +38,5 @@ fn bench_reference_filters(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_window_evaluation,
-    bench_image_filtering,
-    bench_reference_filters
-);
+criterion_group!(benches, bench_image_filtering, bench_reference_filters);
 criterion_main!(benches);

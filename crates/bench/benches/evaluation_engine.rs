@@ -95,7 +95,7 @@ fn bench_evaluator_batch(c: &mut Criterion) {
         let cfg = ParallelConfig::with_workers(workers);
         group.bench_function(format!("batch-{workers}w"), |b| {
             let mut eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
-            b.iter(|| black_box(eval.evaluate_batch_with(&batch, cfg)))
+            b.iter(|| black_box(eval.evaluate_batch_bounded(&batch, None, None, cfg)))
         });
     }
     group.finish();

@@ -41,11 +41,14 @@ use std::time::Instant;
 use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
 use ehw_evolution::fitness::{plan_mae, FitnessEvaluator, SoftwareEvaluator};
-use ehw_evolution::strategy::{run_evolution, EsConfig, EvalEngine, NullObserver};
+use ehw_evolution::strategy::{run_evolution, EsConfig, NullObserver};
 use ehw_image::filters::ReferenceFilter;
 use ehw_image::metrics::mae;
-use ehw_image::window::{map_windows, SharedWindows, Window3x3, WindowPlanes};
-use ehw_oracle::{cascade_spec, evolve_cascade_naive, interpret_filter_image};
+use ehw_image::window::SharedWindows;
+use ehw_oracle::{
+    cascade_spec, evolve_cascade_naive, gather, interpret_filter_image, map_windows, AosBlockPlan,
+    Window3x3,
+};
 use ehw_parallel::ParallelConfig;
 use ehw_platform::evo_modes::CascadeConfig;
 use ehw_platform::fault_campaign::CampaignReport;
@@ -132,7 +135,9 @@ fn main() {
         let mut eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
         let cfg = ParallelConfig::with_workers(4);
         time_batches(reps, pixels, || {
-            eval.evaluate_batch_with(&batch, cfg).into_iter().sum()
+            eval.evaluate_batch_bounded(&batch, None, None, cfg)
+                .into_iter()
+                .sum()
         })
     };
 
@@ -222,12 +227,12 @@ fn main() {
     // Same plans, same windows; only the memory layout of the shared window
     // pass differs.  The AoS path gathers nine strided bytes per window and
     // lane; the plane path memcpys contiguous selector runs.
-    let aos: Vec<Window3x3> = (0..windows.len()).map(|k| windows.window(k)).collect();
+    let aos: Vec<Window3x3> = (0..windows.len()).map(|k| gather(&windows, k)).collect();
     let mut layout_out = vec![0u8; windows.len()];
     let aos_tp = time_batches(reps, pixels, || {
         let mut sum = 0u64;
         for g in &batch {
-            let plan = CompiledArray::new(g);
+            let plan = AosBlockPlan::new(g);
             plan.evaluate_windows_into(&aos, &mut layout_out);
             sum = sum.wrapping_add(layout_out[0] as u64);
         }
@@ -237,7 +242,7 @@ fn main() {
         let mut sum = 0u64;
         for g in &batch {
             let plan = CompiledArray::new(g);
-            plan.evaluate_planes_into(windows.planes(), 0, &mut layout_out);
+            plan.evaluate_planes_into(&windows, 0, &mut layout_out);
             sum = sum.wrapping_add(layout_out[0] as u64);
         }
         sum
@@ -246,15 +251,15 @@ fn main() {
 
     // --- reference filters: AoS per-window kernels vs plane routing --------
     // All nine built-in reference filters over the noisy image: the legacy
-    // path streams a Window3x3 per pixel into the scalar kernel, the plane
-    // path extracts WindowPlanes once per image and runs each filter as
-    // linear passes over the nine selector planes.  A byte-identity gate
-    // precedes the timing.
-    let filter_planes = WindowPlanes::new(&task.input);
+    // path streams a Window3x3 per pixel into the scalar kernel of
+    // ehw-oracle, the plane path extracts SharedWindows once per image and
+    // runs each filter as linear passes over the nine selector planes.  A
+    // byte-identity gate precedes the timing.
+    let filter_planes = SharedWindows::new(&task.input);
     for f in ReferenceFilter::ALL {
         assert_eq!(
             f.apply_planes(&filter_planes),
-            map_windows(&task.input, |w| f.kernel(w)),
+            map_windows(&task.input, |w| ehw_oracle::filters::kernel(f, w)),
             "plane-routed filter {f:?} diverged from the scalar kernel"
         );
     }
@@ -271,7 +276,9 @@ fn main() {
     let filter_aos_s = time_filters(&mut || {
         let mut sum = 0u64;
         for f in ReferenceFilter::ALL {
-            let out = map_windows(std::hint::black_box(&task.input), |w| f.kernel(w));
+            let out = map_windows(std::hint::black_box(&task.input), |w| {
+                ehw_oracle::filters::kernel(f, w)
+            });
             sum = sum.wrapping_add(out.pixel(0, 0) as u64);
         }
         sum
@@ -290,7 +297,6 @@ fn main() {
     let mut evolution = Vec::new();
     for workers in [1usize, 4] {
         let config = EsConfig {
-            engine: EvalEngine::Bounded,
             parallel: ParallelConfig::with_workers(workers),
             ..EsConfig::paper(3, 1, generations, 42)
         };
@@ -645,10 +651,7 @@ fn main() {
     let (trained, trained_fitness) = {
         let mut source = make_source(&calm, 91);
         let frame0 = source.frame(0).expect("streams have a frame 0");
-        let config = EsConfig {
-            engine: EvalEngine::Bounded,
-            ..EsConfig::paper(3, 1, stream_generations * 2, 92)
-        };
+        let config = EsConfig::paper(3, 1, stream_generations * 2, 92);
         let mut eval = SoftwareEvaluator::new(frame0, source.reference().clone());
         let result = run_evolution(&config, &mut eval, &mut NullObserver);
         (result.best_genotype, result.best_fitness)

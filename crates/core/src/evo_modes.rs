@@ -179,14 +179,6 @@ impl FitnessEvaluator for PlatformEvaluator {
         ehw_evolution::fitness::plan_mae(&plan, &self.windows, &self.reference)
     }
 
-    fn evaluate_batch(&mut self, batch: &[Genotype]) -> Vec<u64> {
-        self.evaluate_batch_with(batch, ParallelConfig::from_env())
-    }
-
-    fn evaluate_batch_with(&mut self, batch: &[Genotype], parallel: ParallelConfig) -> Vec<u64> {
-        self.evaluate_batch_bounded(batch, None, None, parallel)
-    }
-
     fn evaluate_batch_bounded(
         &mut self,
         batch: &[Genotype],
@@ -676,7 +668,7 @@ impl CascadeState<'_> {
                 |plan, _, &i| {
                     let diff = &diffs[i];
                     plan.apply(diff);
-                    let img = ehw_evolution::fitness::plan_filter_windows(plan, windows);
+                    let img = plan.filter_windows(windows);
                     plan.revert(diff);
                     img
                 },
@@ -730,14 +722,9 @@ impl CascadeState<'_> {
                 }
             }
             let computed = ehw_parallel::ordered_map(self.parallel, &to_compute, |_, &(_, u)| {
-                let (last, mid) = downstream.split_last().expect("downstream is non-empty");
-                let mut stream = std::borrow::Cow::Borrowed(&outputs[u]);
-                for p in mid {
-                    stream = std::borrow::Cow::Owned(p.filter_image(&stream));
-                }
-                ehw_evolution::fitness::plan_image_mae_bounded(
-                    last,
-                    &stream,
+                ehw_evolution::fitness::suffix_mae_bounded(
+                    &outputs[u],
+                    downstream,
                     reference,
                     Some(bound),
                 )
@@ -980,7 +967,7 @@ mod tests {
         let mut eval = PlatformEvaluator::new(&platform, &task);
         let mut rng = StdRng::seed_from_u64(2);
         let batch: Vec<Genotype> = (0..6).map(|_| Genotype::random(&mut rng)).collect();
-        let parallel = eval.evaluate_batch(&batch);
+        let parallel = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::from_env());
         let sequential: Vec<u64> = batch
             .iter()
             .map(|g| {
@@ -1001,7 +988,7 @@ mod tests {
         let mut eval = PlatformEvaluator::new(&platform, &task);
         let g = Genotype::identity();
         let batch = vec![g.clone(), g.clone(), g.clone(), g.clone()];
-        let fits = eval.evaluate_batch(&batch);
+        let fits = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::from_env());
         // Candidates 0/2 run on the healthy array, 1/3 on the damaged one.
         assert_eq!(fits[0], fits[2]);
         assert_eq!(fits[1], fits[3]);

@@ -35,8 +35,7 @@ use std::time::Instant;
 use ehw_array::genotype::Genotype;
 use ehw_evolution::fitness::EngineStats;
 use ehw_evolution::strategy::{
-    run_evolution_with_parent, EsConfig, EvalEngine, EvolutionResult, GenerationObserver,
-    MutationStrategy,
+    run_evolution_with_parent, EsConfig, EvolutionResult, GenerationObserver, MutationStrategy,
 };
 use ehw_image::image::GrayImage;
 use ehw_stream::source::MIN_FRAME_EDGE;
@@ -274,13 +273,6 @@ impl EvolutionBuilder {
     /// Stop early once a candidate reaches this fitness.
     pub fn target_fitness(mut self, target: u64) -> Self {
         self.config.target_fitness = Some(target);
-        self
-    }
-
-    /// Candidate-evaluation engine (default bounded; results are
-    /// byte-identical in either mode).
-    pub fn engine(mut self, engine: EvalEngine) -> Self {
-        self.config.engine = engine;
         self
     }
 

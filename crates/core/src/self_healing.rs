@@ -22,7 +22,7 @@ use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
 use ehw_image::window::SharedWindows;
 
-use ehw_evolution::fitness::{plan_filter_windows, plan_mae, plan_mae_bounded, SoftwareEvaluator};
+use ehw_evolution::fitness::{plan_mae, plan_mae_bounded, SoftwareEvaluator};
 use ehw_evolution::strategy::{run_evolution_with_parent, EsConfig, NullObserver};
 
 use crate::evo_modes::{evolve_imitation, ImitationStart};
@@ -329,7 +329,7 @@ impl CascadedSelfHealing {
         let golden_outputs = platform
             .acbs()
             .iter()
-            .map(|acb| plan_filter_windows(acb.array().plan(), &calibration_windows))
+            .map(|acb| acb.array().plan().filter_windows(&calibration_windows))
             .collect();
         Self {
             calibration_input,
@@ -448,10 +448,11 @@ impl CascadedSelfHealing {
 
         // The recovered behaviour becomes the new calibration baseline for
         // this array (same shared window pass as every other check).
-        self.golden_outputs[array] = plan_filter_windows(
-            platform.acb(array).array().plan(),
-            &self.calibration_windows,
-        );
+        self.golden_outputs[array] = platform
+            .acb(array)
+            .array()
+            .plan()
+            .filter_windows(&self.calibration_windows);
 
         HealingOutcome::PermanentRecovered {
             method,

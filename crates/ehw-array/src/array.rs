@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
-use ehw_image::window::{for_each_window_in_rows, Window3x3};
 
 use crate::compiled::CompiledArray;
 use crate::genotype::{GeneDiff, Genotype, ARRAY_COLS, ARRAY_ROWS};
@@ -156,64 +155,10 @@ impl ProcessingArray {
         !self.faults.is_empty()
     }
 
-    /// Computes the array output for one 3×3 window — the per-pixel kernel of
-    /// the evolved filter.  Delegates to the compiled plan; the reference
-    /// interpreter in [`crate::compiled`] is the (bit-identical) oracle.
-    #[inline]
-    pub fn evaluate_window(&self, window: &Window3x3) -> u8 {
-        self.plan.evaluate_window(window)
-    }
-
     /// Filters a whole image: every output pixel is the array's response to
     /// the 3×3 window centred on the corresponding input pixel.
     pub fn filter_image(&self, img: &GrayImage) -> GrayImage {
         self.plan.filter_image(img)
-    }
-
-    /// Row-parallel variant of [`filter_image`](Self::filter_image).
-    ///
-    /// The hardware evaluates candidates in parallel by instantiating several
-    /// arrays; on the host we additionally exploit data parallelism inside a
-    /// single evaluation by splitting the image into horizontal bands, one per
-    /// thread.  The result is bit-identical to the sequential version.
-    pub fn filter_image_parallel(&self, img: &GrayImage, threads: usize) -> GrayImage {
-        let threads = threads.max(1).min(img.height());
-        if threads == 1 {
-            return self.filter_image(img);
-        }
-        let width = img.width();
-        let height = img.height();
-        let rows_per_band = height.div_ceil(threads);
-        let mut out = vec![0u8; width * height];
-
-        let bands: Vec<(usize, &mut [u8])> = {
-            let mut bands = Vec::new();
-            let mut rest = out.as_mut_slice();
-            let mut y0 = 0;
-            while y0 < height {
-                let rows = rows_per_band.min(height - y0);
-                let (band, tail) = rest.split_at_mut(rows * width);
-                bands.push((y0, band));
-                rest = tail;
-                y0 += rows;
-            }
-            bands
-        };
-
-        std::thread::scope(|scope| {
-            for (y0, band) in bands {
-                scope.spawn(move || {
-                    let rows = band.len() / width;
-                    let mut k = 0;
-                    for_each_window_in_rows(img, y0, y0 + rows, |_, _, w| {
-                        band[k] = self.plan.evaluate_window(w);
-                        k += 1;
-                    });
-                });
-            }
-        });
-
-        GrayImage::from_vec(width, height, out)
     }
 
     /// Convenience: filter `input` and return the aggregated MAE against
@@ -238,11 +183,17 @@ mod tests {
         assert_eq!(array.filter_image(&img), img);
     }
 
+    /// The array's response to one window: the centre pixel of the
+    /// filtered 3×3 image whose pixels are the window.
+    fn respond(array: &ProcessingArray, window: [u8; 9]) -> u8 {
+        let img = GrayImage::from_vec(3, 3, window.to_vec());
+        array.filter_image(&img).pixel(1, 1)
+    }
+
     #[test]
     fn identity_window_response_is_center() {
         let array = ProcessingArray::identity();
-        let w = Window3x3([10, 20, 30, 40, 50, 60, 70, 80, 90]);
-        assert_eq!(array.evaluate_window(&w), 50);
+        assert_eq!(respond(&array, [10, 20, 30, 40, 50, 60, 70, 80, 90]), 50);
     }
 
     #[test]
@@ -264,14 +215,14 @@ mod tests {
         }
         // Row 1 west input also selects the window centre by default.
         let mut a0 = ProcessingArray::new(g.clone());
-        let w = Window3x3([0, 0, 0, 0, 100, 0, 0, 0, 0]);
-        assert_eq!(a0.evaluate_window(&w), 100);
+        let w = [0, 0, 0, 0, 100, 0, 0, 0, 0];
+        assert_eq!(respond(&a0, w), 100);
         let mut g1 = g.clone();
         g1.output_gene = 1;
         a0.set_genotype(g1);
         // Four cascaded inversions of 100: 155, 100, 155, 100 → row 1 output
         // after 4 PEs each inverting its west input.
-        assert_eq!(a0.evaluate_window(&w), 100);
+        assert_eq!(respond(&a0, w), 100);
         // With a single inversion in the row the parity flips.
         let mut g2 = g;
         for c in 1..ARRAY_COLS {
@@ -279,7 +230,7 @@ mod tests {
         }
         g2.output_gene = 1;
         let a2 = ProcessingArray::new(g2);
-        assert_eq!(a2.evaluate_window(&w), 155);
+        assert_eq!(respond(&a2, w), 155);
     }
 
     #[test]
@@ -295,26 +246,6 @@ mod tests {
         for (o, i) in out.pixels().zip(img.pixels()) {
             assert!(o <= i);
         }
-    }
-
-    #[test]
-    fn parallel_filtering_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let img = synth::shapes(47, 31, 4); // deliberately odd dimensions
-        for _ in 0..5 {
-            let array = ProcessingArray::new(Genotype::random(&mut rng));
-            let seq = array.filter_image(&img);
-            for threads in [1, 2, 3, 4, 8] {
-                assert_eq!(array.filter_image_parallel(&img, threads), seq);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_filtering_with_more_threads_than_rows() {
-        let array = ProcessingArray::identity();
-        let img = synth::gradient(8, 3);
-        assert_eq!(array.filter_image_parallel(&img, 64), img);
     }
 
     #[test]

@@ -14,13 +14,16 @@
 //! * the resolved output row.
 //!
 //! Compilation costs a few dozen nanoseconds and happens once per candidate;
-//! the inner loop then touches only flat arrays.  The original per-pixel
+//! the inner loop then touches only flat arrays.  It reads the windows as
+//! [`SharedWindows`] planes: a fault-free plan runs blocks of
+//! [`CompiledArray::BLOCK`] windows with one opcode dispatch per PE per
+//! block, a plan with faults runs the scalar overlay path window by window.  The original per-pixel
 //! interpreter lives on in the `ehw-oracle` crate as the correctness oracle
 //! of the equivalence suites and the baseline of the evaluation benches;
 //! `CompiledArray` is bit-identical to it by construction and by test.
 
 use ehw_image::image::GrayImage;
-use ehw_image::window::{map_windows, Window3x3, WindowPlanes};
+use ehw_image::window::{SharedWindows, CENTER};
 
 use crate::genotype::{GeneDiff, Genotype, ARRAY_COLS, ARRAY_ROWS, INPUT_GENES, PE_GENES};
 use crate::pe::{FaultBehaviour, PeFunction};
@@ -84,15 +87,15 @@ impl CompiledArray {
         }
     }
 
-    /// Selector values above 8 decode to the window centre, exactly like
-    /// `Window3x3::select`; resolving that at compile/patch time removes the
-    /// per-pixel branch.
+    /// Selector values above 8 decode to the window centre, like the
+    /// hardware's mux decode; resolving that at compile/patch time removes
+    /// the per-pixel branch.
     #[inline]
     fn clamp_selector(sel: u8) -> usize {
         if (sel as usize) < 9 {
             sel as usize
         } else {
-            Window3x3::CENTER
+            CENTER
         }
     }
 
@@ -174,158 +177,44 @@ impl CompiledArray {
     /// buffer, which the compiler vectorises on `u8` lanes.
     pub const BLOCK: usize = 64;
 
-    /// Computes the array output for one 3×3 window — bit-identical to the
-    /// per-pixel interpreter on the same genotype and overlay.
-    #[inline]
-    pub fn evaluate_window(&self, window: &Window3x3) -> u8 {
-        if self.has_faults {
-            self.evaluate_faulty(window)
-        } else {
-            self.evaluate_clean(window)
-        }
-    }
-
-    #[inline]
-    fn evaluate_clean(&self, window: &Window3x3) -> u8 {
-        let px = &window.0;
-        // `prev` holds the north inputs of the current row: the selected
-        // window pixels for row 0, the previous row's outputs afterwards.
-        let mut prev = [0u8; ARRAY_COLS];
-        for (c, p) in prev.iter_mut().enumerate() {
-            *p = px[self.north[c]];
-        }
-        let mut out = 0u8;
-        // Data only flows east and south, so rows below the output row can
-        // never reach the east output — stop there.
-        for r in 0..=self.out_row {
-            let mut w_in = px[self.west[r]];
-            for (c, p) in prev.iter_mut().enumerate() {
-                let v = self.fns[r * ARRAY_COLS + c].apply(w_in, *p);
-                *p = v;
-                w_in = v;
-            }
-            out = w_in;
-        }
-        out
-    }
-
-    #[inline]
-    fn evaluate_faulty(&self, window: &Window3x3) -> u8 {
-        let px = &window.0;
-        let mut prev = [0u8; ARRAY_COLS];
-        for (c, p) in prev.iter_mut().enumerate() {
-            *p = px[self.north[c]];
-        }
-        let mut out = 0u8;
-        for r in 0..=self.out_row {
-            let mut w_in = px[self.west[r]];
-            for (c, p) in prev.iter_mut().enumerate() {
-                let idx = r * ARRAY_COLS + c;
-                let correct = self.fns[idx].apply(w_in, *p);
-                let v = match self.faults[idx] {
-                    Some(fault) => fault.corrupt(correct, w_in, *p),
-                    None => correct,
-                };
-                *p = v;
-                w_in = v;
-            }
-            out = w_in;
-        }
-        out
-    }
-
-    /// Evaluates a block of at most [`BLOCK`](Self::BLOCK) windows with the
-    /// per-PE opcode dispatch hoisted out of the pixel loop: each opcode is
-    /// matched once and applied across the whole lane buffer, which the
-    /// compiler turns into `u8` SIMD.
-    fn evaluate_block_clean(&self, windows: &[Window3x3], out: &mut [u8]) {
-        let len = windows.len();
+    /// Evaluates a block of at most [`BLOCK`](Self::BLOCK) windows,
+    /// `start..start + out.len()`, with the per-PE opcode dispatch hoisted
+    /// out of the pixel loop.  Each input's lane buffer is one contiguous
+    /// copy from the plane its mux selects.
+    fn evaluate_block_clean(&self, windows: &SharedWindows, start: usize, out: &mut [u8]) {
+        let len = out.len();
         debug_assert!(len <= Self::BLOCK);
-        debug_assert_eq!(out.len(), len);
         // `north[c]` holds the north inputs of the current row for every
         // window of the block: the selected window pixels before row 0, the
         // row's own outputs afterwards.
         let mut north = [[0u8; Self::BLOCK]; ARRAY_COLS];
         for (c, lanes) in north.iter_mut().enumerate() {
-            let sel = self.north[c];
-            for (lane, w) in lanes.iter_mut().zip(windows) {
-                *lane = w.0[sel];
-            }
+            lanes[..len].copy_from_slice(&windows.plane(self.north[c])[start..start + len]);
         }
         let mut west = [0u8; Self::BLOCK];
+        // Data only flows east and south, so rows below the output row can
+        // never reach the east output — stop there.
         for r in 0..=self.out_row {
-            let sel = self.west[r];
-            for (lane, w) in west.iter_mut().zip(windows) {
-                *lane = w.0[sel];
-            }
+            west[..len].copy_from_slice(&windows.plane(self.west[r])[start..start + len]);
             for (c, lanes) in north.iter_mut().enumerate() {
-                apply_lanes(
-                    self.fns[r * ARRAY_COLS + c],
-                    &mut west[..len],
-                    &lanes[..len],
-                );
+                self.fns[r * ARRAY_COLS + c].apply_lanes(&mut west[..len], &lanes[..len]);
                 lanes[..len].copy_from_slice(&west[..len]);
             }
         }
         out.copy_from_slice(&west[..len]);
     }
 
-    /// Evaluates every window of `windows` into `out` (same length), using
-    /// the lane-parallel block path for fault-free plans and the scalar
-    /// overlay path otherwise.  Bit-identical to calling
-    /// [`evaluate_window`](Self::evaluate_window) per element.
-    pub fn evaluate_windows_into(&self, windows: &[Window3x3], out: &mut [u8]) {
-        assert_eq!(windows.len(), out.len(), "window/output length mismatch");
-        if self.has_faults {
-            for (o, w) in out.iter_mut().zip(windows) {
-                *o = self.evaluate_faulty(w);
-            }
-        } else {
-            for (wc, oc) in windows.chunks(Self::BLOCK).zip(out.chunks_mut(Self::BLOCK)) {
-                self.evaluate_block_clean(wc, oc);
-            }
-        }
-    }
-
-    /// [`evaluate_block_clean`](Self::evaluate_block_clean) reading the SoA
-    /// plane layout: each lane buffer is filled with one contiguous `memcpy`
-    /// from the selected plane instead of a stride-9 gather across AoS
-    /// windows.  Evaluates windows `start..start + out.len()`.
-    fn evaluate_block_clean_planes(&self, planes: &WindowPlanes, start: usize, out: &mut [u8]) {
-        let len = out.len();
-        debug_assert!(len <= Self::BLOCK);
-        let mut north = [[0u8; Self::BLOCK]; ARRAY_COLS];
-        for (c, lanes) in north.iter_mut().enumerate() {
-            lanes[..len].copy_from_slice(&planes.plane(self.north[c])[start..start + len]);
-        }
-        let mut west = [0u8; Self::BLOCK];
-        for r in 0..=self.out_row {
-            west[..len].copy_from_slice(&planes.plane(self.west[r])[start..start + len]);
-            for (c, lanes) in north.iter_mut().enumerate() {
-                apply_lanes(
-                    self.fns[r * ARRAY_COLS + c],
-                    &mut west[..len],
-                    &lanes[..len],
-                );
-                lanes[..len].copy_from_slice(&west[..len]);
-            }
-        }
-        out.copy_from_slice(&west[..len]);
-    }
-
-    /// Scalar overlay path reading the SoA plane layout.  Only the (at most
-    /// eight) selected planes are touched, each at consecutive raster
-    /// indices across windows — sequential reads rather than the stride-9
-    /// AoS walk.  Bit-identical to [`evaluate_window`](Self::evaluate_window)
-    /// on the gathered window.
-    fn evaluate_faulty_planes(&self, planes: &WindowPlanes, i: usize) -> u8 {
+    /// Scalar path for plans with a fault overlay: window `i` through the
+    /// mesh, corrupting the output of every faulty PE.  Only the (at most
+    /// eight) selected planes are read, each at raster index `i`.
+    fn evaluate_faulty(&self, windows: &SharedWindows, i: usize) -> u8 {
         let mut prev = [0u8; ARRAY_COLS];
         for (c, p) in prev.iter_mut().enumerate() {
-            *p = planes.plane(self.north[c])[i];
+            *p = windows.plane(self.north[c])[i];
         }
         let mut out = 0u8;
         for r in 0..=self.out_row {
-            let mut w_in = planes.plane(self.west[r])[i];
+            let mut w_in = windows.plane(self.west[r])[i];
             for (c, p) in prev.iter_mut().enumerate() {
                 let idx = r * ARRAY_COLS + c;
                 let correct = self.fns[idx].apply(w_in, *p);
@@ -341,132 +230,38 @@ impl CompiledArray {
         out
     }
 
-    /// Evaluates the windows `start..start + out.len()` of the SoA plane
-    /// layout into `out` — the plane-layout counterpart of
-    /// [`evaluate_windows_into`](Self::evaluate_windows_into), bit-identical
-    /// to gathering each window and calling
-    /// [`evaluate_window`](Self::evaluate_window).
-    pub fn evaluate_planes_into(&self, planes: &WindowPlanes, start: usize, out: &mut [u8]) {
+    /// Evaluates the windows `start..start + out.len()` into `out`: the
+    /// lane-parallel block path for fault-free plans, the scalar overlay
+    /// path otherwise.  Bit-identical to the per-pixel interpreter of
+    /// `ehw-oracle` on the same genotype and overlay.
+    pub fn evaluate_planes_into(&self, windows: &SharedWindows, start: usize, out: &mut [u8]) {
         assert!(
-            start + out.len() <= planes.len(),
+            start + out.len() <= windows.len(),
             "plane range out of bounds"
         );
         if self.has_faults {
             for (k, o) in out.iter_mut().enumerate() {
-                *o = self.evaluate_faulty_planes(planes, start + k);
+                *o = self.evaluate_faulty(windows, start + k);
             }
         } else {
-            let mut offset = 0;
-            let len = out.len();
-            while offset < len {
-                let chunk = (len - offset).min(Self::BLOCK);
-                self.evaluate_block_clean_planes(
-                    planes,
-                    start + offset,
-                    &mut out[offset..offset + chunk],
-                );
-                offset += chunk;
+            for (k, chunk) in out.chunks_mut(Self::BLOCK).enumerate() {
+                self.evaluate_block_clean(windows, start + k * Self::BLOCK, chunk);
             }
         }
     }
 
-    /// Filters a whole image through the plan (streaming window extraction
-    /// followed by the block evaluation path).
+    /// The plan's response to every window of `windows`: the output image
+    /// of the filter on the image the windows were extracted from.
+    pub fn filter_windows(&self, windows: &SharedWindows) -> GrayImage {
+        let mut data = vec![0u8; windows.len()];
+        self.evaluate_planes_into(windows, 0, &mut data);
+        GrayImage::from_vec(windows.width(), windows.height(), data)
+    }
+
+    /// Filters a whole image through the plan (window extraction followed by
+    /// [`filter_windows`](Self::filter_windows)).
     pub fn filter_image(&self, img: &GrayImage) -> GrayImage {
-        if self.has_faults {
-            return map_windows(img, |w| self.evaluate_faulty(w));
-        }
-        // Extract one row of windows at a time and push it through the block
-        // path: lane-parallel evaluation without materialising the whole
-        // window set.
-        let width = img.width();
-        let mut row_windows: Vec<Window3x3> = Vec::with_capacity(width);
-        let mut data = vec![0u8; img.len()];
-        for y in 0..img.height() {
-            row_windows.clear();
-            ehw_image::window::for_each_window_in_rows(img, y, y + 1, |_, _, w| {
-                row_windows.push(*w);
-            });
-            self.evaluate_windows_into(&row_windows, &mut data[y * width..(y + 1) * width]);
-        }
-        GrayImage::from_vec(width, img.height(), data)
-    }
-}
-
-/// Applies one PE opcode across a block of lanes: `w[k] = f(w[k], n[k])`.
-/// The single dispatch per block (instead of per pixel) is what lets the
-/// compiler vectorise the arithmetic.
-fn apply_lanes(f: PeFunction, w: &mut [u8], n: &[u8]) {
-    debug_assert_eq!(w.len(), n.len());
-    match f {
-        PeFunction::IdentityW => {}
-        PeFunction::IdentityN => w.copy_from_slice(n),
-        PeFunction::ConstMax => w.fill(255),
-        PeFunction::InvertW => {
-            for x in w.iter_mut() {
-                *x = 255 - *x;
-            }
-        }
-        PeFunction::Or => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x |= y;
-            }
-        }
-        PeFunction::And => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x &= y;
-            }
-        }
-        PeFunction::Xor => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x ^= y;
-            }
-        }
-        PeFunction::ShiftRightW => {
-            for x in w.iter_mut() {
-                *x >>= 1;
-            }
-        }
-        PeFunction::AddSat => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = x.saturating_add(y);
-            }
-        }
-        PeFunction::SubSatWN => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = x.saturating_sub(y);
-            }
-        }
-        PeFunction::SubSatNW => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = y.saturating_sub(*x);
-            }
-        }
-        PeFunction::AbsDiff => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = x.abs_diff(y);
-            }
-        }
-        PeFunction::Average => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = ((*x as u16 + y as u16) / 2) as u8;
-            }
-        }
-        PeFunction::Max => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = (*x).max(y);
-            }
-        }
-        PeFunction::Min => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = (*x).min(y);
-            }
-        }
-        PeFunction::ShiftRightN => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = y >> 1;
-            }
-        }
+        self.filter_windows(&SharedWindows::new(img))
     }
 }
 
@@ -495,11 +290,17 @@ mod tests {
         overlay
     }
 
+    /// The plan's response to one window: the centre pixel of the filtered
+    /// 3×3 image whose pixels are the window.
+    fn respond(plan: &CompiledArray, window: [u8; 9]) -> u8 {
+        let img = GrayImage::from_vec(3, 3, window.to_vec());
+        plan.filter_image(&img).pixel(1, 1)
+    }
+
     #[test]
     fn identity_plan_passes_center() {
         let plan = CompiledArray::new(&Genotype::identity());
-        let w = Window3x3([10, 20, 30, 40, 50, 60, 70, 80, 90]);
-        assert_eq!(plan.evaluate_window(&w), 50);
+        assert_eq!(respond(&plan, [10, 20, 30, 40, 50, 60, 70, 80, 90]), 50);
         assert!(!plan.has_faults());
     }
 
@@ -510,13 +311,14 @@ mod tests {
             let g = Genotype::random(&mut rng);
             let plan = CompiledArray::new(&g);
             // An awkward length: several full blocks plus a ragged tail.
-            let windows: Vec<Window3x3> = (0..CompiledArray::BLOCK * 2 + 17)
-                .map(|_| Window3x3(std::array::from_fn(|_| rng.gen())))
-                .collect();
+            let img = GrayImage::from_fn(CompiledArray::BLOCK * 2 + 17, 3, |_, _| rng.gen());
+            let windows = SharedWindows::new(&img);
             let mut block = vec![0u8; windows.len()];
-            plan.evaluate_windows_into(&windows, &mut block);
-            for (k, w) in windows.iter().enumerate() {
-                assert_eq!(block[k], plan.evaluate_window(w), "window {k}");
+            plan.evaluate_planes_into(&windows, 0, &mut block);
+            // The scalar overlay path with an empty overlay is the clean
+            // circuit evaluated one window at a time.
+            for (k, &lane) in block.iter().enumerate() {
+                assert_eq!(lane, plan.evaluate_faulty(&windows, k), "window {k}");
             }
         }
     }
@@ -600,24 +402,26 @@ mod tests {
 
     #[test]
     fn planes_path_matches_window_path() {
-        use ehw_image::window::WindowPlanes;
+        // Window `i` of a whole image must get the same response as the
+        // same nine pixels evaluated on their own.
         let mut rng = StdRng::seed_from_u64(0x504C);
         let img = synth::shapes(19, 11, 4);
-        let planes = WindowPlanes::new(&img);
+        let windows = SharedWindows::new(&img);
         for _ in 0..25 {
             let g = Genotype::random(&mut rng);
             let overlay = random_overlay(&mut rng, 0.15);
             let plan = CompiledArray::with_faults(&g, overlay.iter().map(|(&p, &b)| (p, b)));
-            let mut out = vec![0u8; planes.len()];
-            plan.evaluate_planes_into(&planes, 0, &mut out);
+            let mut out = vec![0u8; windows.len()];
+            plan.evaluate_planes_into(&windows, 0, &mut out);
             for (i, &o) in out.iter().enumerate() {
-                assert_eq!(o, plan.evaluate_window(&planes.window(i)), "window {i}");
+                let window = std::array::from_fn(|sel| windows.plane(sel)[i]);
+                assert_eq!(o, respond(&plan, window), "window {i}");
             }
             // Sub-range evaluation (arbitrary start, ragged length) agrees
             // with the full pass.
             let start = 7;
-            let mut sub = vec![0u8; planes.len() - start - 3];
-            plan.evaluate_planes_into(&planes, start, &mut sub);
+            let mut sub = vec![0u8; windows.len() - start - 3];
+            plan.evaluate_planes_into(&windows, start, &mut sub);
             assert_eq!(&sub[..], &out[start..start + sub.len()]);
         }
     }
@@ -627,9 +431,8 @@ mod tests {
         let mut g = Genotype::identity();
         g.input_genes = [9, 42, 255, 10, 100, 9, 200, 11];
         let plan = CompiledArray::new(&g);
-        let w = Window3x3([1, 2, 3, 4, 99, 6, 7, 8, 9]);
         // Every input mux decodes to the centre; identity PEs pass it through.
-        assert_eq!(plan.evaluate_window(&w), 99);
+        assert_eq!(respond(&plan, [1, 2, 3, 4, 99, 6, 7, 8, 9]), 99);
     }
 
     #[test]
@@ -637,8 +440,7 @@ mod tests {
         let g = Genotype::identity();
         let plan = CompiledArray::with_faults(&g, [((7, 7), FaultBehaviour::StuckAt { value: 1 })]);
         assert!(!plan.has_faults());
-        let w = Window3x3([0, 0, 0, 0, 50, 0, 0, 0, 0]);
-        assert_eq!(plan.evaluate_window(&w), 50);
+        assert_eq!(respond(&plan, [0, 0, 0, 0, 50, 0, 0, 0, 0]), 50);
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //!   used for fault emulation (§VI.D),
 //! * [`genotype`] — the CGP-style genotype (PE genes + input muxes + output
 //!   mux) and its mutation/encoding operations,
-//! * [`array`](mod@array) — the functional model of the systolic array: evaluate a
-//!   window, filter whole images (serially or with row-parallel threads),
+//! * [`array`](mod@array) — the functional model of the systolic array: a
+//!   genotype plus a fault overlay that filters whole images,
 //! * [`compiled`] — the flat execution plan the hot paths run (genotype +
-//!   fault overlay baked once per candidate), plus the reference interpreter
-//!   kept as its correctness oracle,
+//!   fault overlay baked once per candidate); its correctness oracle, the
+//!   per-pixel interpreter, lives in `ehw-oracle`,
 //! * [`latency`] — the variable-latency model the Array Control Blocks use to
 //!   align data streams,
 //! * [`reconfig_map`] — translation of genotype changes into reconfiguration

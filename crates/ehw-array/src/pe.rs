@@ -111,6 +111,83 @@ impl PeFunction {
         }
     }
 
+    /// Applies the function across a block of lanes: `w[k] = f(w[k], n[k])`.
+    /// One dispatch per block instead of one per pixel is what lets the
+    /// compiler vectorise the arithmetic.
+    pub fn apply_lanes(self, w: &mut [u8], n: &[u8]) {
+        debug_assert_eq!(w.len(), n.len());
+        match self {
+            PeFunction::IdentityW => {}
+            PeFunction::IdentityN => w.copy_from_slice(n),
+            PeFunction::ConstMax => w.fill(255),
+            PeFunction::InvertW => {
+                for x in w.iter_mut() {
+                    *x = 255 - *x;
+                }
+            }
+            PeFunction::Or => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x |= y;
+                }
+            }
+            PeFunction::And => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x &= y;
+                }
+            }
+            PeFunction::Xor => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x ^= y;
+                }
+            }
+            PeFunction::ShiftRightW => {
+                for x in w.iter_mut() {
+                    *x >>= 1;
+                }
+            }
+            PeFunction::AddSat => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x = x.saturating_add(y);
+                }
+            }
+            PeFunction::SubSatWN => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x = x.saturating_sub(y);
+                }
+            }
+            PeFunction::SubSatNW => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x = y.saturating_sub(*x);
+                }
+            }
+            PeFunction::AbsDiff => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x = x.abs_diff(y);
+                }
+            }
+            PeFunction::Average => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x = ((*x as u16 + y as u16) / 2) as u8;
+                }
+            }
+            PeFunction::Max => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x = (*x).max(y);
+                }
+            }
+            PeFunction::Min => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x = (*x).min(y);
+                }
+            }
+            PeFunction::ShiftRightN => {
+                for (x, &y) in w.iter_mut().zip(n) {
+                    *x = y >> 1;
+                }
+            }
+        }
+    }
+
     /// `true` if the function uses only its west input (the north input is a
     /// don't-care).  Used by the latency and criticality analyses.
     pub fn uses_only_west(self) -> bool {

@@ -17,9 +17,10 @@
 //! 1. **Plans, not interpreters** — each candidate is compiled once into a
 //!    [`CompiledArray`] (flat opcodes + dense fault overlay); the per-pixel
 //!    loop performs zero map lookups and zero gene decoding.
-//! 2. **Shared window streaming** — the training image's 3×3 windows are
-//!    extracted once ([`SharedWindows`]) and shared by every candidate of
-//!    every batch, instead of re-extracted per candidate with clamped reads.
+//! 2. **Shared window planes** — the training image's 3×3 windows are
+//!    extracted once into the nine per-selector planes of [`SharedWindows`]
+//!    and shared by every candidate of every batch; a plan fills each input
+//!    lane with a contiguous copy from the plane its mux selects.
 //! 3. **Early-exit fitness** — given the incumbent (parent) fitness as a
 //!    bound, a candidate's MAE accumulation stops as soon as the running sum
 //!    exceeds it: under elitist selection such a candidate can never be
@@ -30,9 +31,11 @@
 //!    candidates identical to the incumbent reuse its known fitness.
 //!
 //! Every shortcut is observationally equivalent: the evolution trajectory
-//! (best genotype, fitness history, evaluation counts) is byte-identical with
-//! the engine on or off, at any worker count — enforced by the equivalence
-//! proptest suite.
+//! (best genotype, fitness history, evaluation counts) is byte-identical to
+//! scoring every candidate exhaustively, at any worker count.  The
+//! exhaustive reference is a test-side wrapper in `ehw-oracle` that calls
+//! `evaluate_batch_bounded(batch, None, None, parallel)`; the equivalence
+//! suites pin the two against each other.
 
 use std::collections::HashMap;
 
@@ -49,26 +52,6 @@ pub trait FitnessEvaluator {
     /// Evaluates one candidate.
     fn evaluate(&mut self, genotype: &Genotype) -> u64;
 
-    /// Evaluates a batch of candidates.  The default implementation is
-    /// sequential; implementations backed by multiple arrays (or by host
-    /// threads) override it to evaluate in parallel, which is exactly what the
-    /// parallel evolution mode of §IV.B does.
-    fn evaluate_batch(&mut self, batch: &[Genotype]) -> Vec<u64> {
-        batch.iter().map(|g| self.evaluate(g)).collect()
-    }
-
-    /// Evaluates a batch under an explicit [`ParallelConfig`].
-    ///
-    /// Results must be returned in batch order and be independent of the
-    /// worker count — candidate fitness is a pure function of the genotype,
-    /// so any two configurations must agree bit for bit.  The default ignores
-    /// the knob and defers to [`evaluate_batch`](Self::evaluate_batch);
-    /// evaluators whose batch path is parallel override this instead.
-    fn evaluate_batch_with(&mut self, batch: &[Genotype], parallel: ParallelConfig) -> Vec<u64> {
-        let _ = parallel;
-        self.evaluate_batch(batch)
-    }
-
     /// Evaluates a batch with the engine shortcuts of the module docs.
     ///
     /// * `bound` — the incumbent fitness: a returned value is the exact
@@ -81,11 +64,19 @@ pub trait FitnessEvaluator {
     ///   candidate would provably score identically (same array, same
     ///   faults); when in doubt, ignore it.
     ///
-    /// Every candidate counts towards [`evaluations`](Self::evaluations),
-    /// memoised or not, so the counter is identical across the serial, batch
-    /// and bounded paths at any worker count.  The default implementation
-    /// ignores the shortcuts and defers to
-    /// [`evaluate_batch_with`](Self::evaluate_batch_with).
+    /// * `parallel` — how the batch is spread over host threads.  Results
+    ///   come back in batch order and are independent of the worker count:
+    ///   candidate fitness is a pure function of the genotype.
+    ///
+    /// `evaluate_batch_bounded(batch, None, None, parallel)` is a plain
+    /// batch evaluation: every value exact.  Every candidate counts towards
+    /// [`evaluations`](Self::evaluations), memoised or not, so the counter is
+    /// identical across the single and batch paths at any worker count.  The
+    /// default implementation ignores the shortcuts and the pool and
+    /// evaluates the batch in order with [`evaluate`](Self::evaluate);
+    /// evaluators backed by multiple arrays (or host threads) override it to
+    /// evaluate in parallel, which is what the parallel evolution mode of
+    /// §IV.B does.
     fn evaluate_batch_bounded(
         &mut self,
         batch: &[Genotype],
@@ -93,8 +84,8 @@ pub trait FitnessEvaluator {
         incumbent: Option<(&Genotype, u64)>,
         parallel: ParallelConfig,
     ) -> Vec<u64> {
-        let _ = (bound, incumbent);
-        self.evaluate_batch_with(batch, parallel)
+        let _ = (bound, incumbent, parallel);
+        batch.iter().map(|g| self.evaluate(g)).collect()
     }
 
     /// Number of single-candidate evaluations performed so far.
@@ -153,17 +144,22 @@ pub fn plan_mae_bounded(
     reference: &GrayImage,
     bound: Option<u64>,
 ) -> (u64, bool) {
-    // Hard assert (not debug): the pre-engine path funnelled through `mae`,
-    // which checks dimensions in every build profile; a silent truncation
-    // here would evolve against a quietly wrong objective.
-    assert_eq!(windows.len(), reference.len(), "window/reference mismatch");
-    let planes = windows.planes();
+    // Hard asserts (not debug), on width and height individually: a
+    // same-area reference of a different shape would otherwise be compared
+    // pixel by pixel against the wrong positions, and evolution would chase
+    // a quietly wrong objective.
+    assert_eq!(windows.width(), reference.width(), "image width mismatch");
+    assert_eq!(
+        windows.height(),
+        reference.height(),
+        "image height mismatch"
+    );
     let mut sum = 0u64;
     let mut buf = [0u8; CompiledArray::BLOCK];
     let mut start = 0;
     for rchunk in reference.as_slice().chunks(CompiledArray::BLOCK) {
         let out = &mut buf[..rchunk.len()];
-        plan.evaluate_planes_into(planes, start, out);
+        plan.evaluate_planes_into(windows, start, out);
         start += rchunk.len();
         sum += out
             .iter()
@@ -179,69 +175,12 @@ pub fn plan_mae_bounded(
     (sum, false)
 }
 
-/// Filters a shared window buffer through a plan, producing the stage output
-/// image — bit-identical to `plan.filter_image(source)` on the image the
-/// windows were extracted from.  This is the cascade engine's bridge from a
-/// stage's one-time extraction pass to the downstream chain, and lets
-/// monitoring paths (calibration baselines, deviation checks) reuse one
-/// window pass across every stage plan.
-pub fn plan_filter_windows(plan: &CompiledArray, windows: &SharedWindows) -> GrayImage {
-    let mut data = vec![0u8; windows.len()];
-    plan.evaluate_planes_into(windows.planes(), 0, &mut data);
-    GrayImage::from_vec(windows.width(), windows.height(), data)
-}
-
-/// [`plan_mae_bounded`] applied to a raw image instead of a pre-extracted
-/// window buffer: windows are extracted one row at a time (streaming, never
-/// materialising the full window set) and accumulation stops at the first
-/// row boundary where the running sum exceeds `bound`.  The exit granularity
-/// is a row rather than a 64-window block, so the partial sum of an
-/// early-exited evaluation may differ from [`plan_mae_bounded`]'s — both are
-/// deterministic, `> bound`, and exact iff `<= bound`, which is the only
-/// contract bounded callers may rely on.
-pub fn plan_image_mae_bounded(
-    plan: &CompiledArray,
-    input: &GrayImage,
-    reference: &GrayImage,
-    bound: Option<u64>,
-) -> (u64, bool) {
-    // Width and height individually: a same-area reference of a different
-    // shape would otherwise silently truncate every row's comparison in the
-    // zip below — the quietly-wrong-objective failure the plan_mae_bounded
-    // hard assert exists to prevent.
-    assert_eq!(input.width(), reference.width(), "image width mismatch");
-    assert_eq!(input.height(), reference.height(), "image height mismatch");
-    let width = input.width();
-    let mut row_windows: Vec<ehw_image::window::Window3x3> = Vec::with_capacity(width);
-    let mut buf = vec![0u8; width];
-    let mut sum = 0u64;
-    for y in 0..input.height() {
-        row_windows.clear();
-        ehw_image::window::for_each_window_in_rows(input, y, y + 1, |_, _, w| {
-            row_windows.push(*w);
-        });
-        plan.evaluate_windows_into(&row_windows, &mut buf);
-        sum += buf
-            .iter()
-            .zip(reference.row(y))
-            .map(|(&o, &r)| o.abs_diff(r) as u64)
-            .sum::<u64>();
-        if let Some(bound) = bound {
-            if sum > bound {
-                return (sum, true);
-            }
-        }
-    }
-    (sum, false)
-}
-
 /// MAE at the end of a cascade chain: `plan`'s response to `windows` is
 /// filtered through the `downstream` plans in order and the final image is
 /// compared against `reference`.  The early-exit bound applies to the final
-/// accumulation (the only one whose value is selected on), so the last
-/// downstream stage is fused with the bounded comparison and stops filtering
-/// as soon as the running sum exceeds `bound`; with no downstream stages this
-/// is exactly [`plan_mae_bounded`].
+/// accumulation (the only one whose value is selected on), so the last plan
+/// stops evaluating as soon as the running sum exceeds it; with no
+/// downstream stages this is exactly [`plan_mae_bounded`].
 pub fn chain_mae_bounded(
     plan: &CompiledArray,
     windows: &SharedWindows,
@@ -249,16 +188,32 @@ pub fn chain_mae_bounded(
     reference: &GrayImage,
     bound: Option<u64>,
 ) -> (u64, bool) {
-    match downstream.split_last() {
-        None => plan_mae_bounded(plan, windows, reference, bound),
-        Some((last, mid)) => {
-            let mut stream = plan_filter_windows(plan, windows);
-            for p in mid {
-                stream = p.filter_image(&stream);
-            }
-            plan_image_mae_bounded(last, &stream, reference, bound)
-        }
+    if downstream.is_empty() {
+        plan_mae_bounded(plan, windows, reference, bound)
+    } else {
+        suffix_mae_bounded(&plan.filter_windows(windows), downstream, reference, bound)
     }
+}
+
+/// The downstream half of [`chain_mae_bounded`]: `input` (a stage output)
+/// is filtered through every plan of `downstream` but the last, and the
+/// last plan's response is scored with [`plan_mae_bounded`].  The cascade
+/// engine runs this once per distinct stage output.
+///
+/// # Panics
+/// Panics if `downstream` is empty.
+pub fn suffix_mae_bounded(
+    input: &GrayImage,
+    downstream: &[CompiledArray],
+    reference: &GrayImage,
+    bound: Option<u64>,
+) -> (u64, bool) {
+    let (last, mid) = downstream.split_last().expect("downstream is non-empty");
+    let mut windows = SharedWindows::new(input);
+    for p in mid {
+        windows = SharedWindows::new(&p.filter_windows(&windows));
+    }
+    plan_mae_bounded(last, &windows, reference, bound)
 }
 
 /// Drives the full dedup → worker pool → scatter pipeline over a candidate
@@ -515,14 +470,6 @@ impl FitnessEvaluator for SoftwareEvaluator {
         plan_mae(&plan, &self.windows, &self.reference)
     }
 
-    fn evaluate_batch(&mut self, batch: &[Genotype]) -> Vec<u64> {
-        self.evaluate_batch_with(batch, ParallelConfig::from_env())
-    }
-
-    fn evaluate_batch_with(&mut self, batch: &[Genotype], parallel: ParallelConfig) -> Vec<u64> {
-        self.evaluate_batch_bounded(batch, None, None, parallel)
-    }
-
     fn evaluate_batch_bounded(
         &mut self,
         batch: &[Genotype],
@@ -624,7 +571,7 @@ mod tests {
         let noisy = salt_pepper(&clean, 0.3, &mut rng);
         let mut eval = SoftwareEvaluator::new(noisy, clean);
         let batch: Vec<Genotype> = (0..9).map(|_| Genotype::random(&mut rng)).collect();
-        let parallel = eval.evaluate_batch(&batch);
+        let parallel = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::from_env());
         let sequential: Vec<u64> = batch.iter().map(|g| eval.evaluate(g)).collect();
         assert_eq!(parallel, sequential);
         assert_eq!(eval.evaluations(), 9 + 9);
@@ -692,13 +639,12 @@ mod tests {
             batch.push(batch[0].clone());
             batch.push(batch[2].clone());
 
-            eval.evaluate(&batch[0]); // serial: 1
-            eval.evaluate_batch(&batch); // batch: 7
-            eval.evaluate_batch_with(&batch, cfg); // parallel batch: 7
-                                                   // Bounded with a tight bound (early exits) and the incumbent
-                                                   // shortcut: still 7.
+            // Serial: 1; batch: 7; bounded with a tight bound (early exits)
+            // and the incumbent shortcut: still 7.
+            eval.evaluate(&batch[0]);
+            eval.evaluate_batch_bounded(&batch, None, None, cfg);
             eval.evaluate_batch_bounded(&batch, Some(0), Some((&batch[0], 123)), cfg);
-            assert_eq!(eval.evaluations(), 1 + 7 + 7 + 7, "workers = {workers}");
+            assert_eq!(eval.evaluations(), 1 + 7 + 7, "workers = {workers}");
         }
     }
 
@@ -709,7 +655,7 @@ mod tests {
         let noisy = salt_pepper(&clean, 0.3, &mut rng);
         let batch = toy_batch(11, 9);
         let mut eval = SoftwareEvaluator::new(noisy, clean);
-        let exact = eval.evaluate_batch_with(&batch, ehw_parallel::ParallelConfig::serial());
+        let exact = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::serial());
         let max = *exact.iter().max().unwrap();
         let bounded = eval.evaluate_batch_bounded(
             &batch,
@@ -727,7 +673,7 @@ mod tests {
         let noisy = salt_pepper(&clean, 0.4, &mut rng);
         let batch = toy_batch(13, 9);
         let mut eval = SoftwareEvaluator::new(noisy, clean);
-        let exact = eval.evaluate_batch_with(&batch, ehw_parallel::ParallelConfig::serial());
+        let exact = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::serial());
         let bound = exact.iter().copied().min().unwrap();
         let bounded = eval.evaluate_batch_bounded(
             &batch,
@@ -787,7 +733,7 @@ mod tests {
         batch.push(parent.clone()); // incumbent duplicate
 
         let mut plain = SoftwareEvaluator::new(noisy.clone(), clean.clone());
-        let exact = plain.evaluate_batch_with(&batch, ehw_parallel::ParallelConfig::serial());
+        let exact = plain.evaluate_batch_bounded(&batch, None, None, ParallelConfig::serial());
         let parent_fitness = exact[1];
 
         let mut engine = SoftwareEvaluator::new(noisy, clean);
@@ -807,20 +753,30 @@ mod tests {
     }
 
     #[test]
-    fn plan_image_mae_bounded_matches_filter_then_mae() {
+    fn chain_mae_bounded_matches_filter_then_mae() {
         let mut rng = StdRng::seed_from_u64(21);
         let img = synth::shapes(23, 17, 3);
         let reference = synth::shapes(23, 17, 4);
+        let windows = SharedWindows::new(&img);
         for _ in 0..5 {
-            let plan = CompiledArray::new(&Genotype::random(&mut rng));
-            let exact = mae(&plan.filter_image(&img), &reference);
+            let plans: Vec<CompiledArray> = (0..3)
+                .map(|_| CompiledArray::new(&Genotype::random(&mut rng)))
+                .collect();
+            let output = plans.iter().fold(img.clone(), |x, p| p.filter_image(&x));
+            let exact = mae(&output, &reference);
             assert_eq!(
-                plan_image_mae_bounded(&plan, &img, &reference, None),
+                chain_mae_bounded(&plans[0], &windows, &plans[1..], &reference, None),
                 (exact, false)
             );
             // Bounded: exact iff under the bound, deterministic partial
             // otherwise.
-            let (sum, exited) = plan_image_mae_bounded(&plan, &img, &reference, Some(exact / 2));
+            let (sum, exited) = chain_mae_bounded(
+                &plans[0],
+                &windows,
+                &plans[1..],
+                &reference,
+                Some(exact / 2),
+            );
             if exact > exact / 2 {
                 assert!(exited && sum > exact / 2 && sum <= exact);
             }
@@ -829,13 +785,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "mismatch")]
-    fn plan_image_mae_bounded_rejects_same_area_shape_mismatch() {
+    fn plan_mae_bounded_rejects_same_area_shape_mismatch() {
         // Regression: a same-area reference of a different shape must fail
-        // loudly, not silently truncate every row's comparison.
-        let input = synth::gradient(20, 10);
+        // loudly, not silently compare against the wrong pixels.
+        let windows = SharedWindows::new(&synth::gradient(20, 10));
         let reference = synth::gradient(10, 20);
         let plan = CompiledArray::new(&Genotype::identity());
-        let _ = plan_image_mae_bounded(&plan, &input, &reference, None);
+        let _ = plan_mae_bounded(&plan, &windows, &reference, None);
     }
 
     #[test]

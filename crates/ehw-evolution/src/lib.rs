@@ -34,6 +34,6 @@ pub mod strategy;
 
 pub use fitness::{EngineStats, FitnessEvaluator, SoftwareEvaluator};
 pub use strategy::{
-    run_evolution, run_evolution_with_parent, EsConfig, EvalEngine, EvolutionResult,
-    GenerationObserver, MutationStrategy, NullObserver,
+    run_evolution, run_evolution_with_parent, EsConfig, EvolutionResult, GenerationObserver,
+    MutationStrategy, NullObserver,
 };

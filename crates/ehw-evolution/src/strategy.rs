@@ -48,29 +48,6 @@ impl MutationStrategy {
     }
 }
 
-/// How each generation's offspring batch is scored.
-///
-/// The two modes are *observationally equivalent*: the best genotype, the
-/// fitness history and the evaluation counts are byte-identical either way,
-/// at any worker count (the equivalence proptest suite enforces it).  What
-/// changes is the work performed: `Bounded` threads the incumbent (parent)
-/// fitness into [`FitnessEvaluator::evaluate_batch_bounded`] so candidates
-/// that cannot win stop accumulating error early, and duplicate/neutral
-/// mutants are answered from the per-generation memo instead of being
-/// re-evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalEngine {
-    /// No early-exit bound and no incumbent shortcut: every candidate's MAE
-    /// accumulates to the last pixel.  Kept as the equivalence oracle.  Note
-    /// that evaluators may still deduplicate identical candidates *within* a
-    /// batch (a pure work-saver); the true pre-engine wall-clock baseline is
-    /// the reference interpreter in `ehw_array::compiled`, which the
-    /// `bench_summary` binary measures against.
-    Exhaustive,
-    /// Early-exit bound + duplicate memo (the default).
-    Bounded,
-}
-
 /// Configuration of one evolution run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EsConfig {
@@ -96,9 +73,6 @@ pub struct EsConfig {
     /// stream, so the same seed produces a byte-identical best genotype and
     /// fitness trajectory at any worker count.
     pub parallel: ParallelConfig,
-    /// Candidate-evaluation engine shortcuts (early exit + memo); results
-    /// are byte-identical in either mode.
-    pub engine: EvalEngine,
 }
 
 impl EsConfig {
@@ -115,7 +89,6 @@ impl EsConfig {
             target_fitness: None,
             seed,
             parallel: ParallelConfig::from_env(),
-            engine: EvalEngine::Bounded,
         }
     }
 
@@ -304,23 +277,18 @@ where
         }
 
         // --- evaluation ----------------------------------------------------
-        // With the engine on, the incumbent (parent) fitness is the early-exit
-        // bound: elitist selection only ever accepts candidates scoring
-        // `<= parent_fitness`, and those are exactly the ones the bounded path
-        // evaluates exactly.  Early-exited candidates report deterministic
-        // values `> parent_fitness`, so selection — and therefore the whole
+        // The incumbent (parent) fitness is the early-exit bound: elitist
+        // selection only ever accepts candidates scoring `<= parent_fitness`,
+        // and those are exactly the ones the bounded path evaluates exactly.
+        // Early-exited candidates report deterministic values
+        // `> parent_fitness`, so selection — and therefore the whole
         // trajectory — is byte-identical to exhaustive evaluation.
-        let fitnesses = match config.engine {
-            EvalEngine::Exhaustive => {
-                evaluator.evaluate_batch_bounded(&offspring, None, None, config.parallel)
-            }
-            EvalEngine::Bounded => evaluator.evaluate_batch_bounded(
-                &offspring,
-                Some(parent_fitness),
-                Some((&parent, parent_fitness)),
-                config.parallel,
-            ),
-        };
+        let fitnesses = evaluator.evaluate_batch_bounded(
+            &offspring,
+            Some(parent_fitness),
+            Some((&parent, parent_fitness)),
+            config.parallel,
+        );
 
         // --- elitist selection with neutral drift ---------------------------
         let (best_idx, &gen_best) = fitnesses
@@ -469,24 +437,44 @@ mod tests {
         }
     }
 
+    /// Scores every candidate exhaustively: no early-exit bound and no
+    /// incumbent shortcut, whatever `run_evolution` passes.
+    struct Exhaustive(SoftwareEvaluator);
+
+    impl FitnessEvaluator for Exhaustive {
+        fn evaluate(&mut self, genotype: &Genotype) -> u64 {
+            self.0.evaluate(genotype)
+        }
+        fn evaluate_batch_bounded(
+            &mut self,
+            batch: &[Genotype],
+            _bound: Option<u64>,
+            _incumbent: Option<(&Genotype, u64)>,
+            parallel: ParallelConfig,
+        ) -> Vec<u64> {
+            self.0.evaluate_batch_bounded(batch, None, None, parallel)
+        }
+        fn evaluations(&self) -> u64 {
+            self.0.evaluations()
+        }
+    }
+
     #[test]
     fn engine_on_and_off_produce_identical_results() {
         // The headline contract of the compiled evaluation engine: early exit
         // and the per-generation memo are pure work-savers.  Same seed ⇒
-        // byte-identical best genotype, history and counters, engine on or
-        // off, at any worker count.
+        // byte-identical best genotype, history and counters as exhaustive
+        // scoring, at any worker count.
         let reference = {
             let config = EsConfig {
-                engine: EvalEngine::Exhaustive,
                 parallel: ParallelConfig::serial(),
                 ..EsConfig::paper(3, 1, 60, 77)
             };
-            let mut eval = denoise_evaluator(24, 0.3, 4);
+            let mut eval = Exhaustive(denoise_evaluator(24, 0.3, 4));
             run_evolution(&config, &mut eval, &mut NullObserver)
         };
         for workers in [1usize, 2, 8] {
             let config = EsConfig {
-                engine: EvalEngine::Bounded,
                 parallel: ParallelConfig::with_workers(workers),
                 ..EsConfig::paper(3, 1, 60, 77)
             };

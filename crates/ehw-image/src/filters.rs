@@ -12,7 +12,7 @@
 //! hardware window generator.
 
 use crate::image::GrayImage;
-use crate::window::{Window3x3, WindowPlanes};
+use crate::window::{SharedWindows, CENTER};
 
 /// Identifies one of the built-in reference filters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,23 +53,22 @@ impl ReferenceFilter {
 
     /// Applies the filter to a whole image.
     ///
-    /// Routed through the [`WindowPlanes`] SoA layout: the windows are
+    /// Routed through the [`SharedWindows`] planes: the windows are
     /// extracted once and each filter runs as plane-wise passes over nine
-    /// contiguous buffers instead of a stride-9 gather per pixel.  Pinned
-    /// byte-identical to the scalar [`kernel`](Self::kernel) path by
-    /// `kernel_and_apply_agree_for_all_filters`.
+    /// contiguous buffers.  Pinned byte-identical to the scalar per-window
+    /// kernels of `ehw-oracle` by `kernel_and_apply_agree_for_all_filters`.
     pub fn apply(&self, img: &GrayImage) -> GrayImage {
         if matches!(self, ReferenceFilter::Identity) {
             // The centre plane is the image itself; skip extraction.
             return img.clone();
         }
-        self.apply_planes(&WindowPlanes::new(img))
+        self.apply_planes(&SharedWindows::new(img))
     }
 
-    /// Applies the filter to pre-extracted window planes — the path for
-    /// callers that already hold a [`WindowPlanes`] (shared across filters
-    /// or with an evaluation pass over the same image).
-    pub fn apply_planes(&self, planes: &WindowPlanes) -> GrayImage {
+    /// Applies the filter to pre-extracted windows — the path for callers
+    /// that already hold a [`SharedWindows`] (shared across filters or with
+    /// an evaluation pass over the same image).
+    pub fn apply_planes(&self, planes: &SharedWindows) -> GrayImage {
         let data = match self {
             ReferenceFilter::Median => median_planes(planes),
             ReferenceFilter::Mean => mean_planes(planes),
@@ -79,24 +78,9 @@ impl ReferenceFilter {
             ReferenceFilter::Erode => minmax_planes(planes, u8::min),
             ReferenceFilter::Dilate => minmax_planes(planes, u8::max),
             ReferenceFilter::Sharpen => sharpen_planes(planes),
-            ReferenceFilter::Identity => planes.plane(Window3x3::CENTER).to_vec(),
+            ReferenceFilter::Identity => planes.plane(CENTER).to_vec(),
         };
         GrayImage::from_vec(planes.width(), planes.height(), data)
-    }
-
-    /// Applies the filter to a single window (the per-pixel kernel).
-    pub fn kernel(&self, w: &Window3x3) -> u8 {
-        match self {
-            ReferenceFilter::Median => w.median(),
-            ReferenceFilter::Mean => w.mean(),
-            ReferenceFilter::Gaussian => gaussian_kernel(w),
-            ReferenceFilter::SobelEdge => sobel_kernel(w),
-            ReferenceFilter::Laplacian => laplacian_kernel(w),
-            ReferenceFilter::Erode => w.min(),
-            ReferenceFilter::Dilate => w.max(),
-            ReferenceFilter::Sharpen => sharpen_kernel(w),
-            ReferenceFilter::Identity => w.center(),
-        }
     }
 }
 
@@ -110,36 +94,14 @@ pub fn mean(img: &GrayImage) -> GrayImage {
     ReferenceFilter::Mean.apply(img)
 }
 
-fn gaussian_kernel(w: &Window3x3) -> u8 {
-    // 1 2 1 / 2 4 2 / 1 2 1, normalised by 16.
-    const K: [u32; 9] = [1, 2, 1, 2, 4, 2, 1, 2, 1];
-    let sum: u32 = w.0.iter().zip(K.iter()).map(|(&p, &k)| p as u32 * k).sum();
-    ((sum + 8) / 16) as u8
-}
-
 /// 3×3 Gaussian smoothing filter.
 pub fn gaussian_blur(img: &GrayImage) -> GrayImage {
     ReferenceFilter::Gaussian.apply(img)
 }
 
-fn sobel_kernel(w: &Window3x3) -> u8 {
-    let p = |i: usize| w.0[i] as i32;
-    // Horizontal and vertical Sobel gradients on the 3×3 window.
-    let gx = (p(2) + 2 * p(5) + p(8)) - (p(0) + 2 * p(3) + p(6));
-    let gy = (p(6) + 2 * p(7) + p(8)) - (p(0) + 2 * p(1) + p(2));
-    let mag = gx.abs() + gy.abs();
-    mag.min(255) as u8
-}
-
 /// Sobel gradient-magnitude edge detector (|Gx| + |Gy|, saturated at 255).
 pub fn sobel_edge(img: &GrayImage) -> GrayImage {
     ReferenceFilter::SobelEdge.apply(img)
-}
-
-fn laplacian_kernel(w: &Window3x3) -> u8 {
-    let p = |i: usize| w.0[i] as i32;
-    let lap = 4 * p(4) - p(1) - p(3) - p(5) - p(7);
-    lap.unsigned_abs().min(255) as u8
 }
 
 /// Laplacian (4-neighbour) edge detector, absolute response saturated at 255.
@@ -157,12 +119,6 @@ pub fn dilate(img: &GrayImage) -> GrayImage {
     ReferenceFilter::Dilate.apply(img)
 }
 
-fn sharpen_kernel(w: &Window3x3) -> u8 {
-    let c = w.center() as i32;
-    let g = gaussian_kernel(w) as i32;
-    (c + (c - g)).clamp(0, 255) as u8
-}
-
 /// Unsharp-mask sharpening filter.
 pub fn sharpen(img: &GrayImage) -> GrayImage {
     ReferenceFilter::Sharpen.apply(img)
@@ -172,11 +128,11 @@ pub fn sharpen(img: &GrayImage) -> GrayImage {
 // Plane-wise implementations
 // ---------------------------------------------------------------------------
 //
-// Each filter below consumes the SoA [`WindowPlanes`] layout: nine contiguous
+// Each filter below consumes the [`SharedWindows`] planes: nine contiguous
 // per-selector buffers, read linearly, instead of gathering a 9-byte window
-// per pixel.  Arithmetic is written to reproduce the scalar kernels bit for
-// bit (same widths, same rounding, same saturation); the equivalence test in
-// this module and the engine-equivalence property suite pin that.
+// per pixel.  Arithmetic is written to reproduce the scalar kernels of
+// `ehw-oracle` bit for bit (same widths, same rounding, same saturation);
+// `kernel_and_apply_agree_for_all_filters` there pins that.
 
 /// Sorts `v[a] <= v[b]` (one compare-exchange of a sorting network).
 #[inline(always)]
@@ -186,14 +142,14 @@ fn cmp_swap(v: &mut [u8; 9], a: usize, b: usize) {
     }
 }
 
-fn median_planes(planes: &WindowPlanes) -> Vec<u8> {
+fn median_planes(planes: &SharedWindows) -> Vec<u8> {
     let p: [&[u8]; 9] = std::array::from_fn(|sel| planes.plane(sel));
     (0..planes.len())
         .map(|i| {
             let mut v: [u8; 9] = std::array::from_fn(|sel| p[sel][i]);
             // Devillard's 19-comparator median-of-9 network: cheaper than a
             // full sort, and the median is method-independent, so the result
-            // matches `Window3x3::median` exactly.
+            // matches the oracle's sort-based median exactly.
             cmp_swap(&mut v, 1, 2);
             cmp_swap(&mut v, 4, 5);
             cmp_swap(&mut v, 7, 8);
@@ -218,8 +174,8 @@ fn median_planes(planes: &WindowPlanes) -> Vec<u8> {
         .collect()
 }
 
-fn mean_planes(planes: &WindowPlanes) -> Vec<u8> {
-    // 9 * 255 = 2295 fits u16; truncating division matches `Window3x3::mean`.
+fn mean_planes(planes: &SharedWindows) -> Vec<u8> {
+    // 9 * 255 = 2295 fits u16; truncating division matches the scalar mean.
     let mut sum = vec![0u16; planes.len()];
     for sel in 0..9 {
         for (acc, &pixel) in sum.iter_mut().zip(planes.plane(sel)) {
@@ -229,7 +185,7 @@ fn mean_planes(planes: &WindowPlanes) -> Vec<u8> {
     sum.into_iter().map(|s| (s / 9) as u8).collect()
 }
 
-fn gaussian_planes(planes: &WindowPlanes) -> Vec<u8> {
+fn gaussian_planes(planes: &SharedWindows) -> Vec<u8> {
     // Same 1-2-1 / 2-4-2 / 1-2-1 weights and (sum + 8) / 16 rounding as the
     // scalar kernel; 16 * 255 = 4080 fits u16.
     const K: [u16; 9] = [1, 2, 1, 2, 4, 2, 1, 2, 1];
@@ -242,7 +198,7 @@ fn gaussian_planes(planes: &WindowPlanes) -> Vec<u8> {
     sum.into_iter().map(|s| ((s + 8) / 16) as u8).collect()
 }
 
-fn sobel_planes(planes: &WindowPlanes) -> Vec<u8> {
+fn sobel_planes(planes: &SharedWindows) -> Vec<u8> {
     let p: [&[u8]; 9] = std::array::from_fn(|sel| planes.plane(sel));
     (0..planes.len())
         .map(|i| {
@@ -254,7 +210,7 @@ fn sobel_planes(planes: &WindowPlanes) -> Vec<u8> {
         .collect()
 }
 
-fn laplacian_planes(planes: &WindowPlanes) -> Vec<u8> {
+fn laplacian_planes(planes: &SharedWindows) -> Vec<u8> {
     let p: [&[u8]; 9] = std::array::from_fn(|sel| planes.plane(sel));
     (0..planes.len())
         .map(|i| {
@@ -265,7 +221,7 @@ fn laplacian_planes(planes: &WindowPlanes) -> Vec<u8> {
         .collect()
 }
 
-fn minmax_planes(planes: &WindowPlanes, fold: impl Fn(u8, u8) -> u8 + Copy) -> Vec<u8> {
+fn minmax_planes(planes: &SharedWindows, fold: impl Fn(u8, u8) -> u8 + Copy) -> Vec<u8> {
     let mut out = planes.plane(0).to_vec();
     for sel in 1..9 {
         for (acc, &pixel) in out.iter_mut().zip(planes.plane(sel)) {
@@ -275,10 +231,10 @@ fn minmax_planes(planes: &WindowPlanes, fold: impl Fn(u8, u8) -> u8 + Copy) -> V
     out
 }
 
-fn sharpen_planes(planes: &WindowPlanes) -> Vec<u8> {
+fn sharpen_planes(planes: &SharedWindows) -> Vec<u8> {
     let blurred = gaussian_planes(planes);
     planes
-        .plane(Window3x3::CENTER)
+        .plane(CENTER)
         .iter()
         .zip(blurred)
         .map(|(&center, g)| {
@@ -304,7 +260,6 @@ mod tests {
     use crate::metrics::mae;
     use crate::noise::salt_pepper;
     use crate::synth;
-    use crate::window::map_windows;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -372,35 +327,6 @@ mod tests {
     fn identity_filter_is_identity() {
         let img = synth::gradient(16, 16);
         assert_eq!(ReferenceFilter::Identity.apply(&img), img);
-    }
-
-    #[test]
-    fn kernel_and_apply_agree_for_all_filters() {
-        // The plane-routed `apply` must be byte-identical to the scalar
-        // per-window kernel, including at borders and degenerate shapes
-        // (where every pixel is a border pixel).
-        let shapes = [
-            synth::shapes(32, 32, 3),
-            synth::shapes(1, 1, 1),
-            synth::shapes(1, 7, 1),
-            synth::shapes(2, 2, 1),
-            synth::shapes(5, 2, 1),
-        ];
-        for img in &shapes {
-            let planes = crate::window::WindowPlanes::new(img);
-            for f in ReferenceFilter::ALL {
-                let full = f.apply(img);
-                let via_kernel = map_windows(img, |w| f.kernel(w));
-                assert_eq!(
-                    full,
-                    via_kernel,
-                    "filter {f:?} disagrees at {}x{}",
-                    img.width(),
-                    img.height()
-                );
-                assert_eq!(f.apply_planes(&planes), via_kernel, "planes {f:?}");
-            }
-        }
     }
 
     #[test]

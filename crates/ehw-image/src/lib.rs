@@ -37,4 +37,4 @@ pub mod window;
 pub use image::GrayImage;
 pub use metrics::{mae, mse, psnr};
 pub use noise::NoiseClass;
-pub use window::Window3x3;
+pub use window::SharedWindows;

@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 use ehw_array::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
 use ehw_array::pe::FaultBehaviour;
 use ehw_image::image::GrayImage;
-use ehw_image::window::Window3x3;
+
+use crate::window::Window3x3;
 
 /// Evaluates one window through the interpreter.
 pub fn interpret_window(
@@ -64,6 +65,7 @@ pub fn interpret_filter_image(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aos::respond;
     use ehw_array::CompiledArray;
     use ehw_image::synth;
     use rand::rngs::StdRng;
@@ -96,7 +98,7 @@ mod tests {
             for _ in 0..16 {
                 let w = Window3x3(std::array::from_fn(|_| rng.gen()));
                 assert_eq!(
-                    plan.evaluate_window(&w),
+                    respond(&plan, &w),
                     interpret_window(&g, &overlay, &w),
                     "case {case} diverged"
                 );
@@ -107,7 +109,7 @@ mod tests {
         g.input_genes = [9, 42, 255, 10, 100, 9, 200, 11];
         let w = Window3x3([1, 2, 3, 4, 99, 6, 7, 8, 9]);
         assert_eq!(
-            CompiledArray::new(&g).evaluate_window(&w),
+            respond(&CompiledArray::new(&g), &w),
             interpret_window(&g, &BTreeMap::new(), &w)
         );
     }

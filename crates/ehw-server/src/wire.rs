@@ -502,26 +502,12 @@ pub fn encode_result(result: &JobResult) -> Value {
         ("job_id", u64v(result.job_id)),
         ("seed", u64v(result.seed)),
         ("evaluations", u64v(result.evaluations)),
-        (
-            "stats",
-            Value::object(vec![
-                ("plans_evaluated", u64v(result.stats.plans_evaluated)),
-                ("memo_hits", u64v(result.stats.memo_hits)),
-                ("early_exits", u64v(result.stats.early_exits)),
-            ]),
-        ),
+        ("stats", encode_stats(&result.stats)),
         ("warm_started", Value::Bool(result.warm_started)),
         (
             "warm_start_key",
             match &result.warm_start_key {
-                Some(key) => Value::object(vec![
-                    // A full-range u64: as a raw JSON number it would be
-                    // rounded above 2^53 by double-based parsers (JS et al.),
-                    // so it travels as a fixed-width hex string instead.
-                    ("image_hash", strv(format!("{:016x}", key.image_hash))),
-                    ("noise_class", u64v(u64::from(key.noise_class))),
-                    ("arrays", usizev(key.arrays)),
-                ]),
+                Some(key) => Value::object(champion_key_pairs(key)),
                 None => Value::Null,
             },
         ),
@@ -1268,18 +1254,28 @@ pub fn encode_champions(entries: &[(ChampionKey, Champion)]) -> Value {
                 entries
                     .iter()
                     .map(|(key, champion)| {
-                        Value::object(vec![
-                            ("image_hash", strv(format!("{:016x}", key.image_hash))),
-                            ("noise_class", u64v(u64::from(key.noise_class))),
-                            ("arrays", usizev(key.arrays)),
-                            ("genotype", bytesv(&champion.genotype)),
-                            ("fitness", u64v(champion.fitness)),
-                        ])
+                        let mut pairs = champion_key_pairs(key);
+                        pairs.push(("genotype", bytesv(&champion.genotype)));
+                        pairs.push(("fitness", u64v(champion.fitness)));
+                        Value::object(pairs)
                     })
                     .collect(),
             ),
         ),
     ])
+}
+
+/// The members that identify a champion's workload, shared by a result's
+/// `warm_start_key` and every entry of the champions document.
+/// `image_hash` is a full-range u64: as a raw JSON number it would be
+/// rounded above 2^53 by double-based parsers (JS et al.), so it travels as
+/// a fixed-width hex string instead.
+fn champion_key_pairs(key: &ChampionKey) -> Vec<(&'static str, Value)> {
+    vec![
+        ("image_hash", strv(format!("{:016x}", key.image_hash))),
+        ("noise_class", u64v(u64::from(key.noise_class))),
+        ("arrays", usizev(key.arrays)),
+    ]
 }
 
 /// Parses a champions document (same shape [`encode_champions`] emits) back

@@ -1,9 +1,9 @@
 //! The streaming engine: filter → score → detect drift → re-adapt.
 //!
 //! Every frame is filtered through the incumbent genotype's compiled plan
-//! ([`plan_filter_windows`] over a [`SharedWindows`] extraction that is then
-//! reused for calibration scoring), scored against the clean reference, and
-//! fed to the [`DriftDetector`].  When drift fires, the engine waits for the
+//! ([`CompiledArray::filter_windows`] over a [`SharedWindows`] extraction
+//! that is then reused for calibration scoring), scored against the clean
+//! reference, and fed to the [`DriftDetector`].  When drift fires, the engine waits for the
 //! calibration window to refill with post-drift frames (the firing frame is
 //! kept as the first piece of post-shift evidence), then re-evolves *from
 //! the incumbent* on the newest frame under the per-adaptation budget,
@@ -33,9 +33,9 @@ use rand::SeedSequence;
 
 use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
-use ehw_evolution::fitness::{plan_filter_windows, plan_mae, SoftwareEvaluator};
+use ehw_evolution::fitness::{plan_mae, SoftwareEvaluator};
 use ehw_evolution::strategy::{
-    run_evolution_with_parent, EsConfig, EvalEngine, GenerationObserver, MutationStrategy,
+    run_evolution_with_parent, EsConfig, GenerationObserver, MutationStrategy,
 };
 use ehw_image::metrics::mae;
 use ehw_image::window::SharedWindows;
@@ -205,7 +205,6 @@ fn es_config(a: &AdaptationConfig, parallel: ParallelConfig, seed: u64) -> EsCon
         target_fitness: a.target_fitness,
         seed,
         parallel,
-        engine: EvalEngine::Bounded,
     }
 }
 
@@ -307,7 +306,7 @@ pub fn run_stream(
             break;
         };
         let windows = SharedWindows::new(&input);
-        let output = plan_filter_windows(&plan, &windows);
+        let output = plan.filter_windows(&windows);
         let fitness = mae(&output, &reference);
         report.output_hash = mix(report.output_hash, output.content_hash());
         report.frames += 1;

@@ -12,7 +12,7 @@ use ehw_fabric::frame::{ConfigMemory, Frame, FrameAddress, FRAME_BYTES};
 use ehw_fabric::scrub::Scrubber;
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::{mae, max_abs_error, psnr};
-use ehw_image::window::Window3x3;
+use ehw_oracle::{respond, Window3x3};
 use ehw_platform::voter::{FitnessVote, FitnessVoter, PixelVoter};
 use proptest::prelude::*;
 
@@ -100,13 +100,7 @@ proptest! {
     #[test]
     fn array_is_a_pure_function_of_genotype_and_window(g in arb_genotype(), w in arb_window()) {
         let array = ProcessingArray::new(g);
-        prop_assert_eq!(array.evaluate_window(&w), array.evaluate_window(&w));
-    }
-
-    #[test]
-    fn parallel_filtering_is_bit_exact(g in arb_genotype(), img in arb_image(), threads in 1usize..6) {
-        let array = ProcessingArray::new(g);
-        prop_assert_eq!(array.filter_image_parallel(&img, threads), array.filter_image(&img));
+        prop_assert_eq!(respond(array.plan(), &w), respond(array.plan(), &w));
     }
 
     #[test]

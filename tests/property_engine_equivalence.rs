@@ -2,7 +2,7 @@
 //! interpreter: the plan must be bit-identical to the interpreter for random
 //! genotype × fault-overlay × image triples, bounded fitness must equal
 //! unbounded fitness whenever the bound is not hit, and a whole evolution run
-//! must be byte-identical with the engine on or off, at any worker count.
+//! must be byte-identical to exhaustive scoring, at any worker count.
 
 use std::collections::BTreeMap;
 
@@ -11,11 +11,13 @@ use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
 use ehw_array::pe::FaultBehaviour;
 use ehw_evolution::fitness::{plan_mae, plan_mae_bounded, SoftwareEvaluator};
-use ehw_evolution::strategy::{run_evolution, EsConfig, EvalEngine, NullObserver};
+use ehw_evolution::strategy::{run_evolution, EsConfig, NullObserver};
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
-use ehw_image::window::{SharedWindows, Window3x3};
-use ehw_oracle::{interpret_filter_image, interpret_window};
+use ehw_image::window::SharedWindows;
+use ehw_oracle::{
+    gather, interpret_filter_image, interpret_window, respond, AosBlockPlan, Exhaustive, Window3x3,
+};
 use ehw_parallel::ParallelConfig;
 use proptest::prelude::*;
 
@@ -91,7 +93,7 @@ proptest! {
         window in proptest::array::uniform9(any::<u8>()).prop_map(Window3x3),
     ) {
         let plan = compile(&g, &overlay);
-        prop_assert_eq!(plan.evaluate_window(&window), interpret_window(&g, &overlay, &window));
+        prop_assert_eq!(respond(&plan, &window), interpret_window(&g, &overlay, &window));
     }
 
     #[test]
@@ -128,9 +130,9 @@ proptest! {
         let plan = compile(&g, &overlay);
         let windows = SharedWindows::new(&img);
         let mut block = vec![0u8; windows.len()];
-        plan.evaluate_planes_into(windows.planes(), 0, &mut block);
+        plan.evaluate_planes_into(&windows, 0, &mut block);
         for (k, &lane) in block.iter().enumerate() {
-            prop_assert_eq!(lane, plan.evaluate_window(&windows.window(k)));
+            prop_assert_eq!(lane, interpret_window(&g, &overlay, &gather(&windows, k)));
         }
     }
 
@@ -140,15 +142,16 @@ proptest! {
         overlay in arb_overlay(),
         img in arb_image(),
     ) {
-        // The SoA plane path must be byte-identical to the AoS gather path —
-        // same plan, same windows, only the memory layout differs.
+        // The plane path must be byte-identical to the AoS gather baseline
+        // of ehw-oracle — same circuit, same windows, only the memory
+        // layout differs.
         let plan = compile(&g, &overlay);
         let windows = SharedWindows::new(&img);
-        let aos: Vec<Window3x3> = (0..windows.len()).map(|k| windows.window(k)).collect();
+        let aos: Vec<Window3x3> = (0..windows.len()).map(|k| gather(&windows, k)).collect();
         let mut from_aos = vec![0u8; aos.len()];
-        plan.evaluate_windows_into(&aos, &mut from_aos);
+        AosBlockPlan::with_faults(&g, overlay.clone()).evaluate_windows_into(&aos, &mut from_aos);
         let mut from_planes = vec![0u8; aos.len()];
-        plan.evaluate_planes_into(windows.planes(), 0, &mut from_planes);
+        plan.evaluate_planes_into(&windows, 0, &mut from_planes);
         prop_assert_eq!(from_aos, from_planes);
     }
 
@@ -243,7 +246,7 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Evolution: engine on == engine off, at any worker count
+    // Evolution: bounded engine == exhaustive scoring, at any worker count
     // ------------------------------------------------------------------
 
     #[test]
@@ -254,18 +257,17 @@ proptest! {
         let clean = ehw_image::synth::shapes(16, 16, 3);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(img_seed);
         let noisy = ehw_image::noise::salt_pepper(&clean, 0.3, &mut rng);
-        let run = |engine: EvalEngine, workers: usize| {
-            let config = EsConfig {
-                engine,
-                parallel: ParallelConfig::with_workers(workers),
-                ..EsConfig::paper(3, 1, 15, seed)
-            };
-            let mut eval = SoftwareEvaluator::new(noisy.clone(), clean.clone());
-            run_evolution(&config, &mut eval, &mut NullObserver)
+        let config = |workers: usize| EsConfig {
+            parallel: ParallelConfig::with_workers(workers),
+            ..EsConfig::paper(3, 1, 15, seed)
         };
-        let reference = run(EvalEngine::Exhaustive, 1);
+        let reference = {
+            let mut eval = Exhaustive(SoftwareEvaluator::new(noisy.clone(), clean.clone()));
+            run_evolution(&config(1), &mut eval, &mut NullObserver)
+        };
         for workers in [1usize, 2, 8] {
-            let r = run(EvalEngine::Bounded, workers);
+            let mut eval = SoftwareEvaluator::new(noisy.clone(), clean.clone());
+            let r = run_evolution(&config(workers), &mut eval, &mut NullObserver);
             prop_assert_eq!(r.best_genotype.encode(), reference.best_genotype.encode());
             prop_assert_eq!(r.best_fitness, reference.best_fitness);
             prop_assert_eq!(&r.history, &reference.history);

@@ -160,7 +160,8 @@ fn evaluate_batch_with_matches_sequential_evaluation() {
     let sequential: Vec<u64> = batch.iter().map(|g| eval.evaluate(g)).collect();
     for workers in WORKER_COUNTS {
         let mut eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
-        let parallel = eval.evaluate_batch_with(&batch, ParallelConfig::with_workers(workers));
+        let parallel =
+            eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::with_workers(workers));
         assert_eq!(parallel, sequential, "diverged at {workers} workers");
     }
 }
