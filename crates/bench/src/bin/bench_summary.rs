@@ -17,11 +17,12 @@
 //! * **plan_compile** — ns/candidate of a fresh plan compile vs patching the
 //!   parent's plan with the gene diff (the software mirror of partial
 //!   reconfiguration),
-//! * **window_layout** — full-image evals/sec of the AoS window-gather path
-//!   vs the SoA per-selector plane path, same plan, single worker,
+//! * **window_layout** — full-image evals/sec of the AoS window-gather
+//!   baseline of `ehw-oracle` vs the SoA per-selector plane path, same
+//!   circuit, single worker,
 //! * **reference_filters** — µs per filter for the nine built-in reference
-//!   filters through the legacy per-window kernel stream vs the plane-routed
-//!   `ReferenceFilter::apply`, byte-identity gated,
+//!   filters through the `ehw-oracle` per-window kernel stream vs the
+//!   plane-routed `ReferenceFilter::apply`, byte-identity gated,
 //! * **cross_job_cache** — the service-level cache: fitness-cache hit rate
 //!   of a replayed same-image batch (byte-identity gated against a
 //!   cache-off service) and the cold-vs-warm-start evaluations-to-target
@@ -224,9 +225,10 @@ fn main() {
     let patch_speedup = fresh_ns / patch_ns.max(1e-9);
 
     // --- window layout: AoS gather vs SoA planes ---------------------------
-    // Same plans, same windows; only the memory layout of the shared window
-    // pass differs.  The AoS path gathers nine strided bytes per window and
-    // lane; the plane path memcpys contiguous selector runs.
+    // Same circuits, same windows; only the memory layout of the shared
+    // window pass differs.  The AoS baseline (ehw-oracle) gathers nine
+    // strided bytes per window and lane; the plane path memcpys contiguous
+    // selector runs.  Both dispatch each opcode once per 64-window block.
     let aos: Vec<Window3x3> = (0..windows.len()).map(|k| gather(&windows, k)).collect();
     let mut layout_out = vec![0u8; windows.len()];
     let aos_tp = time_batches(reps, pixels, || {

@@ -193,10 +193,10 @@ impl FitnessEvaluator for PlatformEvaluator {
         // memo is keyed by (array, genotype), and the incumbent *fitness*
         // shortcut is ignored — the incumbent's fitness belongs to whichever
         // array scored it, which is unknowable here.  The incumbent genotype
-        // is still useful: its plan is compiled once per array and each
-        // worker keeps resident copies that candidates are patched into
-        // (≤ k gene writes each way), which is bit-identical to a fresh
-        // compile under the same overlay.  Early exit stays sound per
+        // (else the first candidate) still serves as the base: its plan is
+        // compiled once per array and each worker keeps resident copies that
+        // candidates are patched into (a few gene writes each way), which is
+        // bit-identical to a fresh compile under the same overlay.  Early exit stays sound per
         // candidate: a value is exact iff it is `<= bound` on *its* array.
         self.evaluations += batch.len() as u64;
         let num_arrays = self.arrays.len();
@@ -236,50 +236,34 @@ impl FitnessEvaluator for PlatformEvaluator {
                 None => compute(),
             }
         };
-        match incumbent {
-            Some((pg, _)) => {
-                let parent_plans: Vec<ehw_array::compiled::CompiledArray> =
-                    arrays.iter().map(|a| a.compile_with(pg)).collect();
-                // Diffs are computed once per candidate up front (mutation
-                // bookkeeping); the workers only replay them.
-                let diffs: Vec<_> = batch.iter().map(|g| g.diff_from(pg)).collect();
-                ehw_evolution::fitness::batch_mae_bounded_init(
-                    batch,
-                    None,
-                    parallel,
-                    |i, g| (i % num_arrays, g),
-                    |_| false,
-                    || parent_plans.clone(),
-                    |plans, i| {
-                        cached_eval(i % num_arrays, &batch[i], &mut || {
-                            let plan = &mut plans[i % num_arrays];
-                            let diff = &diffs[i];
-                            plan.apply(diff);
-                            let result = ehw_evolution::fitness::plan_mae_bounded(
-                                plan, windows, reference, bound,
-                            );
-                            plan.revert(diff);
-                            result
-                        })
-                    },
-                    &mut self.stats,
-                )
-            }
-            None => ehw_evolution::fitness::batch_mae_bounded(
-                batch,
-                None,
-                parallel,
-                |i, g| (i % num_arrays, g),
-                |_| false,
-                |i| {
-                    cached_eval(i % num_arrays, &batch[i], &mut || {
-                        let plan = arrays[i % num_arrays].compile_with(&batch[i]);
-                        ehw_evolution::fitness::plan_mae_bounded(&plan, windows, reference, bound)
-                    })
-                },
-                &mut self.stats,
-            ),
-        }
+        let Some(base) = incumbent.map(|(g, _)| g).or(batch.first()) else {
+            return Vec::new();
+        };
+        let base_plans: Vec<ehw_array::compiled::CompiledArray> =
+            arrays.iter().map(|a| a.compile_with(base)).collect();
+        // Diffs are computed once per candidate up front (mutation
+        // bookkeeping); the workers only replay them.
+        let diffs: Vec<_> = batch.iter().map(|g| g.diff_from(base)).collect();
+        ehw_evolution::fitness::batch_mae_bounded(
+            batch,
+            None,
+            parallel,
+            |i, g| (i % num_arrays, g),
+            |_| false,
+            || base_plans.clone(),
+            |plans, i| {
+                cached_eval(i % num_arrays, &batch[i], &mut || {
+                    let plan = &mut plans[i % num_arrays];
+                    let diff = &diffs[i];
+                    plan.apply(diff);
+                    let result =
+                        ehw_evolution::fitness::plan_mae_bounded(plan, windows, reference, bound);
+                    plan.revert(diff);
+                    result
+                })
+            },
+            &mut self.stats,
+        )
     }
 
     fn evaluations(&self) -> u64 {
@@ -757,7 +741,7 @@ impl CascadeState<'_> {
             ehw_evolution::fitness::scatter_results(slots, &results, &mut self.stats)
         } else {
             let diffs: Vec<_> = offspring.iter().map(|g| g.diff_from(parent)).collect();
-            ehw_evolution::fitness::batch_mae_bounded_init(
+            ehw_evolution::fitness::batch_mae_bounded(
                 &offspring,
                 Some((parent, bound)),
                 self.parallel,

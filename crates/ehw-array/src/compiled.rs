@@ -17,10 +17,11 @@
 //! the inner loop then touches only flat arrays.  It reads the windows as
 //! [`SharedWindows`] planes: a fault-free plan runs blocks of
 //! [`CompiledArray::BLOCK`] windows with one opcode dispatch per PE per
-//! block, a plan with faults runs the scalar overlay path window by window.  The original per-pixel
-//! interpreter lives on in the `ehw-oracle` crate as the correctness oracle
-//! of the equivalence suites and the baseline of the evaluation benches;
-//! `CompiledArray` is bit-identical to it by construction and by test.
+//! block, a plan with faults runs the scalar overlay path window by window.
+//! The original per-pixel interpreter lives on in the `ehw-oracle` crate as
+//! the correctness oracle of the equivalence suites and the baseline of the
+//! evaluation benches; `CompiledArray` is bit-identical to it by
+//! construction and by test.
 
 use ehw_image::image::GrayImage;
 use ehw_image::window::{SharedWindows, CENTER};
@@ -181,7 +182,7 @@ impl CompiledArray {
     /// `start..start + out.len()`, with the per-PE opcode dispatch hoisted
     /// out of the pixel loop.  Each input's lane buffer is one contiguous
     /// copy from the plane its mux selects.
-    fn evaluate_block_clean(&self, windows: &SharedWindows, start: usize, out: &mut [u8]) {
+    fn evaluate_block_clean_planes(&self, windows: &SharedWindows, start: usize, out: &mut [u8]) {
         let len = out.len();
         debug_assert!(len <= Self::BLOCK);
         // `north[c]` holds the north inputs of the current row for every
@@ -207,7 +208,7 @@ impl CompiledArray {
     /// Scalar path for plans with a fault overlay: window `i` through the
     /// mesh, corrupting the output of every faulty PE.  Only the (at most
     /// eight) selected planes are read, each at raster index `i`.
-    fn evaluate_faulty(&self, windows: &SharedWindows, i: usize) -> u8 {
+    fn evaluate_faulty_planes(&self, windows: &SharedWindows, i: usize) -> u8 {
         let mut prev = [0u8; ARRAY_COLS];
         for (c, p) in prev.iter_mut().enumerate() {
             *p = windows.plane(self.north[c])[i];
@@ -241,11 +242,11 @@ impl CompiledArray {
         );
         if self.has_faults {
             for (k, o) in out.iter_mut().enumerate() {
-                *o = self.evaluate_faulty(windows, start + k);
+                *o = self.evaluate_faulty_planes(windows, start + k);
             }
         } else {
             for (k, chunk) in out.chunks_mut(Self::BLOCK).enumerate() {
-                self.evaluate_block_clean(windows, start + k * Self::BLOCK, chunk);
+                self.evaluate_block_clean_planes(windows, start + k * Self::BLOCK, chunk);
             }
         }
     }
@@ -318,7 +319,7 @@ mod tests {
             // The scalar overlay path with an empty overlay is the clean
             // circuit evaluated one window at a time.
             for (k, &lane) in block.iter().enumerate() {
-                assert_eq!(lane, plan.evaluate_faulty(&windows, k), "window {k}");
+                assert_eq!(lane, plan.evaluate_faulty_planes(&windows, k), "window {k}");
             }
         }
     }

@@ -217,41 +217,20 @@ pub fn suffix_mae_bounded(
 }
 
 /// Drives the full dedup → worker pool → scatter pipeline over a candidate
-/// batch for any caller that can score one candidate — the building block
-/// behind every [`FitnessEvaluator::evaluate_batch_bounded`] implementation
-/// and the cascade engine, which evaluates per-stage offspring batches
-/// without owning an evaluator.  `eval(i)` scores batch slot `i` (returning
-/// the [`plan_mae_bounded`]-style `(sum, early_exited)` pair) and must be a
-/// pure function of the slot so results are identical at any worker count;
+/// batch — the building block behind every
+/// [`FitnessEvaluator::evaluate_batch_bounded`] implementation and the
+/// cascade engine, which evaluates per-stage offspring batches without
+/// owning an evaluator.  `init` builds each worker's scratch state once (see
+/// [`ehw_parallel::ordered_map_init`]) and `eval(state, i)` scores batch
+/// slot `i`, returning the [`plan_mae_bounded`]-style `(sum, early_exited)`
+/// pair.  This is the driver for worker-resident plans — patch the resident
+/// plan to the candidate, evaluate, revert — so the per-candidate
+/// reconfiguration cost is a few gene writes each way instead of a full plan
+/// compile or copy.  `eval` must be a pure function of the slot (restore the
+/// state before returning), which keeps results worker-count-invariant;
 /// `key` / `incumbent_applies` are forwarded to [`dedupe_batch`].
-pub fn batch_mae_bounded<'a, K, F>(
-    batch: &'a [Genotype],
-    incumbent: Option<(&Genotype, u64)>,
-    parallel: ParallelConfig,
-    key: impl Fn(usize, &'a Genotype) -> K,
-    incumbent_applies: impl Fn(usize) -> bool,
-    eval: F,
-    stats: &mut EngineStats,
-) -> Vec<u64>
-where
-    K: std::hash::Hash + Eq,
-    F: Fn(usize) -> (u64, bool) + Sync,
-{
-    let (slots, unique) = dedupe_batch(batch, incumbent, key, incumbent_applies);
-    let results = ehw_parallel::ordered_map(parallel, &unique, |_, &i| eval(i));
-    scatter_results(slots, &results, stats)
-}
-
-/// [`batch_mae_bounded`] with a per-worker scratch state (see
-/// [`ehw_parallel::ordered_map_init`]): `init` builds each worker's state
-/// once and `eval` receives it mutably per unique candidate.  This is the
-/// driver for worker-resident plans — patch the resident plan to the
-/// candidate, evaluate, revert — so the per-candidate reconfiguration cost
-/// is ≤ k gene writes each way instead of a full plan compile or copy.
-/// `eval`'s result must not depend on scratch-state history (restore the
-/// state before returning), which keeps results worker-count-invariant.
 #[allow(clippy::too_many_arguments)]
-pub fn batch_mae_bounded_init<'a, K, S, IF, F>(
+pub fn batch_mae_bounded<'a, K, S, IF, F>(
     batch: &'a [Genotype],
     incumbent: Option<(&Genotype, u64)>,
     parallel: ParallelConfig,
@@ -481,53 +460,38 @@ impl FitnessEvaluator for SoftwareEvaluator {
         // shortcut is always sound here, and the memo keys on the genotype
         // alone.  Unique candidates are fanned over the worker pool (sharing
         // the window buffer); the pool merges results in candidate order, so
-        // the outcome is identical at any worker count.  When the incumbent
-        // is known its plan is compiled once per batch and each worker keeps
-        // a *resident copy* of it: a candidate is evaluated by applying its
-        // ≤ k-gene diff in place and reverting afterwards (bit-identical to
-        // a fresh compile, with no per-candidate plan copy at all).
+        // the outcome is identical at any worker count.  One base plan (the
+        // incumbent's, else the first candidate's) is compiled per batch and
+        // each worker keeps a *resident copy* of it: a candidate is evaluated
+        // by applying its gene diff in place and reverting afterwards
+        // (bit-identical to a fresh compile, with no per-candidate plan copy).
         self.evaluations += batch.len() as u64;
-        let base = &self.array;
+        let Some(base_genotype) = incumbent.map(|(g, _)| g).or(batch.first()) else {
+            return Vec::new();
+        };
+        let base_plan = self.array.compile_with(base_genotype);
+        // Gene diffs are mutation bookkeeping: computed once per candidate up
+        // front (the DPR "frame list"), so the per-candidate patch step
+        // inside the workers is just the apply/revert replay.
+        let diffs: Vec<_> = batch.iter().map(|g| g.diff_from(base_genotype)).collect();
         let windows = &self.windows;
         let reference = &self.reference;
-        match incumbent {
-            Some((pg, _)) => {
-                let parent_plan = base.compile_with(pg);
-                // Gene diffs are mutation bookkeeping: computed once per
-                // candidate up front (the DPR "frame list"), so the
-                // per-candidate patch step inside the workers is just the
-                // ≤ k-entry apply/revert replay.
-                let diffs: Vec<_> = batch.iter().map(|g| g.diff_from(pg)).collect();
-                batch_mae_bounded_init(
-                    batch,
-                    incumbent,
-                    parallel,
-                    |_, g| g,
-                    |_| true,
-                    || parent_plan,
-                    |plan, i| {
-                        let diff = &diffs[i];
-                        plan.apply(diff);
-                        let result = plan_mae_bounded(plan, windows, reference, bound);
-                        plan.revert(diff);
-                        result
-                    },
-                    &mut self.stats,
-                )
-            }
-            None => batch_mae_bounded(
-                batch,
-                incumbent,
-                parallel,
-                |_, g| g,
-                |_| true,
-                |i| {
-                    let plan = base.compile_with(&batch[i]);
-                    plan_mae_bounded(&plan, windows, reference, bound)
-                },
-                &mut self.stats,
-            ),
-        }
+        batch_mae_bounded(
+            batch,
+            incumbent,
+            parallel,
+            |_, g| g,
+            |_| true,
+            || base_plan,
+            |plan, i| {
+                let diff = &diffs[i];
+                plan.apply(diff);
+                let result = plan_mae_bounded(plan, windows, reference, bound);
+                plan.revert(diff);
+                result
+            },
+            &mut self.stats,
+        )
     }
 
     fn evaluations(&self) -> u64 {

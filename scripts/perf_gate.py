@@ -26,10 +26,11 @@ TRACKED = [
     # parent-plan patch (diff + rewrite of only the mutated genes).
     ("plan_compile", "patch_speedup"),
     # Window memory layout: full-image evals/sec of the SoA plane path over
-    # the AoS gather path, same plan, single worker.
+    # the ehw-oracle AoS gather baseline, same circuit, single worker.
     ("window_layout", "plane_speedup"),
-    # Reference filters routed through WindowPlanes over the legacy
-    # per-window kernel stream (byte-identity gated in the bench itself).
+    # Reference filters routed through the SharedWindows planes over the
+    # ehw-oracle per-window kernel stream (byte-identity gated in the bench
+    # itself).
     ("reference_filters", "plane_speedup"),
     # Cross-job cache: warm-start evaluations-to-target over a cold start
     # (champion-library seeding) and the fitness-cache hit rate of a
