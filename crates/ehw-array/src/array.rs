@@ -150,6 +150,11 @@ impl ProcessingArray {
         self.faults.keys().copied().collect()
     }
 
+    /// The fault overlay: every damaged position and its behaviour.
+    pub fn faults(&self) -> &BTreeMap<(usize, usize), FaultBehaviour> {
+        &self.faults
+    }
+
     /// `true` if at least one PE is damaged.
     pub fn has_faults(&self) -> bool {
         !self.faults.is_empty()

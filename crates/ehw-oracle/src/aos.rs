@@ -4,7 +4,9 @@
 //! the same lane-parallel block evaluation as `CompiledArray` (one opcode
 //! dispatch per PE per block), but each lane buffer is gathered with stride
 //! 9 across a slice of [`Window3x3`]s instead of copied from a contiguous
-//! plane.  [`respond`] runs one AoS window through a production plan, for
+//! plane.  Its [`filter_image`](AosBlockPlan::filter_image) streams each
+//! image row's windows into such a slice, which is how the naive cascade
+//! filters.  [`respond`] runs one AoS window through a production plan, for
 //! tests that state properties of single windows.
 
 use std::collections::BTreeMap;
@@ -15,7 +17,7 @@ use ehw_array::pe::{FaultBehaviour, PeFunction};
 use ehw_image::image::GrayImage;
 
 use crate::interpreter::interpret_window;
-use crate::window::Window3x3;
+use crate::window::{for_each_window_in_rows, Window3x3};
 
 /// Windows per block, as in `CompiledArray::BLOCK`.
 const BLOCK: usize = CompiledArray::BLOCK;
@@ -101,6 +103,22 @@ impl AosBlockPlan {
             }
         }
         out.copy_from_slice(&west[..len]);
+    }
+
+    /// Filters a whole image: the windows of each row are streamed out of
+    /// three row slices ([`for_each_window_in_rows`]) into an AoS row
+    /// buffer and evaluated with
+    /// [`evaluate_windows_into`](Self::evaluate_windows_into).
+    pub fn filter_image(&self, img: &GrayImage) -> GrayImage {
+        let width = img.width();
+        let mut row: Vec<Window3x3> = Vec::with_capacity(width);
+        let mut data = vec![0u8; img.len()];
+        for (y, out) in data.chunks_mut(width).enumerate() {
+            row.clear();
+            for_each_window_in_rows(img, y, y + 1, |_, _, w| row.push(*w));
+            self.evaluate_windows_into(&row, out);
+        }
+        GrayImage::from_vec(width, img.height(), data)
     }
 }
 

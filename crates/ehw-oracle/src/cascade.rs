@@ -1,10 +1,11 @@
 //! The naive cascaded evolution.
 //!
-//! Every candidate clones interpreter-style arrays and refilters the whole
-//! chain from the source image: no compiled plans, no shared windows, no
-//! early exit, no prefix or suffix caching.  The compiled engine behind
-//! `JobSpec::Cascade` must match it byte for byte — stage genotypes,
-//! per-stage chain fitness and evaluation counts, at any worker count.
+//! Every candidate refilters the whole chain from the source image with the
+//! AoS row-streaming filter of [`AosBlockPlan`]: no compiled plans, no
+//! shared windows, no early exit, no prefix or suffix caching.  The compiled
+//! engine behind `JobSpec::Cascade` must match it byte for byte — stage
+//! genotypes, per-stage chain fitness and evaluation counts, at any worker
+//! count.
 //!
 //! The schedule driver and parent initialisation are deliberately copied
 //! here rather than shared, so the oracle stays independent of the engine
@@ -22,6 +23,15 @@ use ehw_platform::platform::EhwPlatform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::aos::AosBlockPlan;
+
+/// Filters `input` through `array`'s fabric configured with `genotype`,
+/// with the AoS row-streaming filter of [`AosBlockPlan`] rather than the
+/// production plan.
+fn filter(array: &ProcessingArray, genotype: &Genotype, input: &GrayImage) -> GrayImage {
+    AosBlockPlan::with_faults(genotype, array.faults().clone()).filter_image(input)
+}
+
 /// Filters `input` through the first `upto` stages of the chain.
 fn filter_chain(
     arrays: &[ProcessingArray],
@@ -31,9 +41,7 @@ fn filter_chain(
 ) -> GrayImage {
     let mut stream = input.clone();
     for s in 0..upto {
-        let mut array = arrays[s].clone();
-        array.set_genotype(genotypes[s].clone());
-        stream = array.filter_image(&stream);
+        stream = filter(&arrays[s], &genotypes[s], &stream);
     }
     stream
 }
@@ -105,17 +113,13 @@ pub fn evolve_cascade_naive(
     let evaluate = |stage: usize, candidate: &Genotype, parents: &[Genotype]| -> u64 {
         evaluations.set(evaluations.get() + 1);
         let stage_input = filter_chain(&arrays, parents, stage, &task.input);
-        let mut array = arrays[stage].clone();
-        array.set_genotype(candidate.clone());
-        let stage_output = array.filter_image(&stage_input);
+        let stage_output = filter(&arrays[stage], candidate, &stage_input);
         match config.fitness {
             CascadeFitness::Separate => mae(&stage_output, &task.reference),
             CascadeFitness::Merged => {
                 let mut stream = stage_output;
                 for s in stage + 1..stages {
-                    let mut downstream = arrays[s].clone();
-                    downstream.set_genotype(parents[s].clone());
-                    stream = downstream.filter_image(&stream);
+                    stream = filter(&arrays[s], &parents[s], &stream);
                 }
                 mae(&stream, &task.reference)
             }
